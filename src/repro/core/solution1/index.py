@@ -38,11 +38,24 @@ from ...iosim import Pager, StorageError
 from ...storage.disjoint import DisjointIntervalIndex
 from ..linebased.index import LineBasedIndex
 
-#: BB[alpha] balance parameter: a child may hold at most (1 - ALPHA) of the
-#: endpoint weight routed below its parent (paper: 0 < alpha < 1 - 1/sqrt(2)).
+#: BB[alpha] balance parameter: a child may hold at most (1 - ALPHA) of its
+#: parent's weight, which counts every segment in the parent's subtree,
+#: those stored at the parent included (paper: 0 < alpha < 1 - 1/sqrt(2)).
 ALPHA = 0.25
 #: Slack before tiny subtrees trigger rebuilds.
 BALANCE_SLACK = 8
+
+
+def bb_balanced(weight: int, wl: int, wr: int) -> bool:
+    """The BB[α] predicate at a node of ``weight`` segments with children
+    of weights ``wl`` and ``wr``.
+
+    A fresh build splits at the endpoint median, so neither child holds
+    more than half of the node's segments: every freshly built node
+    passes with room to spare, and a rebuild needs Ω(weight) updates
+    through the node.
+    """
+    return weight <= BALANCE_SLACK or max(wl, wr) <= (1 - ALPHA) * weight
 
 
 def split_at_line(segment: Segment, c) -> Tuple[Optional[Tuple], Optional[object], Optional[object]]:
@@ -509,22 +522,18 @@ class TwoLevelBinaryIndex:
         """Rebuild the topmost BB[α]-violating subtree on the update path."""
         for pid, parent_pid, parent_side in path:
             page = self.pager.fetch(pid)
-            if page.get_header("kind") == "leaf":
-                continue
             left = self.pager.fetch(page.get_header("left"))
             right = self.pager.fetch(page.get_header("right"))
-            wl = left.get_header("weight")
-            wr = right.get_header("weight")
-            total = wl + wr
-            if total <= BALANCE_SLACK:
+            if bb_balanced(page.get_header("weight"),
+                           left.get_header("weight"),
+                           right.get_header("weight")):
                 continue
-            if max(wl, wr) > (1 - ALPHA) * total:
-                segments = self._collect(pid)
-                self._destroy_subtree(pid)
-                self.pager.crash_point("solution1.rebalance")
-                new_pid = self._build_subtree(segments)
-                self._replace_child(parent_pid, parent_side, pid, new_pid)
-                return
+            segments = self._collect(pid)
+            self._destroy_subtree(pid)
+            self.pager.crash_point("solution1.rebalance")
+            new_pid = self._build_subtree(segments)
+            self._replace_child(parent_pid, parent_side, pid, new_pid)
+            return
 
     def _collect(self, pid: int) -> List[Segment]:
         page = self.pager.fetch(pid)
@@ -580,7 +589,8 @@ class TwoLevelBinaryIndex:
         return h
 
     def check_invariants(self, deep: bool = False) -> None:
-        """Verify weights, segment placement and band separation.
+        """Verify weights, BB[α] balance, segment placement and band
+        separation.
 
         With ``deep=True`` every node's second-level structures are also
         checked (PST heap/x-order, B+-tree order of the on-line index) —
@@ -628,9 +638,13 @@ class TwoLevelBinaryIndex:
             self._lr_index(page, "r").check_invariants()
         count = len(here)
         assert count == page.get_header("here"), f"here-count stale at {pid}"
-        count += self._check_subtree(page.get_header("left"), lo, c, deep)
-        count += self._check_subtree(page.get_header("right"), c, hi, deep)
+        wl = self._check_subtree(page.get_header("left"), lo, c, deep)
+        wr = self._check_subtree(page.get_header("right"), c, hi, deep)
+        count += wl + wr
         assert count == page.get_header("weight"), f"weight stale at {pid}"
+        assert bb_balanced(count, wl, wr), (
+            f"BB[alpha] balance violated at {pid}: children {wl}/{wr} "
+            f"of weight {count}")
         return count
 
     # ------------------------------------------------------------------

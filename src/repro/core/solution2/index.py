@@ -40,6 +40,20 @@ IMBALANCE_FACTOR = 4
 LEAF_PAGES = 2
 
 
+def slabs_balanced(weight: int, child_weights: List[int], capacity: int) -> bool:
+    """The balance predicate at a node of ``weight`` segments (those stored
+    at the node included): no child holding more than one block holds
+    more than ``IMBALANCE_FACTOR`` times its fair share ``weight / fan-out``.
+
+    A fresh build cuts slabs at endpoint quantiles, so no child holds
+    more than about ``weight / fan-out`` segments: every freshly built
+    node passes, and a rebuild needs Ω(weight / fan-out) insertions into
+    one slab.
+    """
+    fair = weight / len(child_weights)
+    return max(child_weights) <= max(IMBALANCE_FACTOR * fair, capacity)
+
+
 class _NodeView:
     """Decoded record chain of one internal node."""
 
@@ -582,24 +596,22 @@ class TwoLevelIntervalIndex:
     # balance maintenance
     # ------------------------------------------------------------------
     def _rebalance_path(self, path) -> None:
+        """Rebuild the topmost unbalanced subtree on the insertion path."""
+        capacity = self.pager.device.block_capacity
         for pid, parent_pid, parent_slot in path:
             view = self._read_view(pid)
             weights = [
                 self.pager.fetch(child).get_header("weight")
                 for child in view.children
             ]
-            total = sum(weights)
-            capacity = self.pager.device.block_capacity
-            if total <= capacity:
+            if slabs_balanced(view.head.get_header("weight"), weights, capacity):
                 continue
-            fair = total / len(view.children)
-            if max(weights) > max(IMBALANCE_FACTOR * fair, capacity):
-                segments = self._collect(pid)
-                self._destroy_subtree(pid)
-                self.pager.crash_point("solution2.rebalance")
-                new_pid = self._build_subtree(segments)
-                self._replace_child(parent_pid, parent_slot, pid, new_pid)
-                return
+            segments = self._collect(pid)
+            self._destroy_subtree(pid)
+            self.pager.crash_point("solution2.rebalance")
+            new_pid = self._build_subtree(segments)
+            self._replace_child(parent_pid, parent_slot, pid, new_pid)
+            return
 
     def _collect(self, pid: int) -> List[Segment]:
         if self._node_kind(pid) == "leaf":
@@ -664,7 +676,8 @@ class TwoLevelIntervalIndex:
         return h
 
     def check_invariants(self, deep: bool = False) -> None:
-        """Weights, placement of every fragment kind, child band bounds.
+        """Weights, slab balance, placement of every fragment kind, child
+        band bounds.
 
         With ``deep=True`` the per-boundary second-level structures are
         structurally checked too (the fsck walk); the G-tree partition
@@ -750,9 +763,14 @@ class TwoLevelIntervalIndex:
             g.check_invariants()
             for frag in g.real_fragments():
                 here[frag.payload.label] = frag.payload
-        count = len(here)
         edges = [lo] + bounds + [hi]
-        for k, child in enumerate(view.children):
-            count += self._check_subtree(child, edges[k], edges[k + 1], deep)
+        weights = [
+            self._check_subtree(child, edges[k], edges[k + 1], deep)
+            for k, child in enumerate(view.children)
+        ]
+        count = len(here) + sum(weights)
         assert count == head.get_header("weight"), f"weight stale at {pid}"
+        assert slabs_balanced(count, weights, self.pager.device.block_capacity), (
+            f"slab balance violated at {pid}: children {weights} of weight "
+            f"{count}")
         return count

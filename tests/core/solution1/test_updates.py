@@ -3,13 +3,15 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.solution1 import TwoLevelBinaryIndex
 from repro.geometry import Segment, VerticalQuery, vs_intersects
 from repro.iosim import BlockDevice, Measurement, Pager
-from repro.workloads import grid_segments, mixed_queries, segment_queries
+from repro.workloads import (grid_segments, grid_segments_touching,
+                             mixed_queries, segment_queries)
 
 
 def build(segments, capacity=8, blocked=True):
@@ -119,6 +121,81 @@ class TestDelete:
         index.check_invariants()
         for q in segment_queries(segments, 10, seed=13):
             assert sorted(s.label for s in index.query(q)) == oracle(segments, q)
+
+
+def replacement(old, version, rng, cell=100):
+    """A segment for ``old``'s cell of ``grid_segments_touching`` that
+    crosses nothing: endpoints shared with the neighbouring cells stay,
+    an interior left endpoint moves to a new height in the cell's row."""
+    left, right = old.start, old.end
+    y = left.y
+    if left.x % cell:
+        row = (left.y // cell) * cell
+        y = row + rng.randint(1, cell - 2)
+        while (left.x, y) == (right.x, right.y):
+            y = row + rng.randint(1, cell - 2)
+    return Segment.from_coords(left.x, y, right.x, right.y,
+                               label=("r", old.label[1], version))
+
+
+def skewed(count, x0=10**6):
+    """Disjoint horizontal segments marching right of all the data."""
+    return [Segment.from_coords(x0 + 10 * i, 0, x0 + 10 * i + 5, 0,
+                                label=("skew", i))
+            for i in range(count)]
+
+
+class TestBalance:
+    """BB[α] balance is checked against the node's whole weight, so fresh
+    builds pass and rebuilds are paid for by the updates that skew a
+    subtree.  Shared endpoints keep many segments at the nodes: a test
+    that left those out would fail fresh nodes and rebuild them on every
+    update through them."""
+
+    def test_fresh_build_of_shared_endpoints_is_balanced(self):
+        for capacity in (4, 8, 64):
+            _d, _p, index = build(grid_segments_touching(1024, seed=2),
+                                  capacity=capacity)
+            index.check_invariants()
+
+    def test_replacement_churn_never_rebuilds(self):
+        segments = grid_segments_touching(2048, seed=2)
+        dev, _p, index = build(segments, capacity=64)
+        rng = random.Random(3)
+        current = {s.label[1]: s for s in segments}
+        cells = sorted(current)
+        for version in range(400):
+            cell = cells[rng.randrange(len(cells))]
+            new = replacement(current[cell], version, rng)
+            assert index.delete(current[cell])
+            index.insert(new)
+            current[cell] = new
+        assert dev.tag_writes.get("rebuild", 0) == 0
+        index.check_invariants()
+        for q in segment_queries(segments, 10, seed=4):
+            assert sorted(s.label for s in index.query(q)) == oracle(
+                current.values(), q)
+
+    def test_skewed_inserts_still_rebuild(self):
+        segments = grid_segments_touching(512, seed=3)
+        dev, _p, index = build(segments, capacity=8)
+        extra = skewed(300)
+        for s in extra:
+            index.insert(s)
+        assert dev.tag_writes.get("rebuild", 0) > 0
+        index.check_invariants()
+        q = VerticalQuery.line(extra[150].xmin + 1)
+        assert [s.label for s in index.query(q)] == [("skew", 150)]
+
+    def test_check_invariants_asserts_balance(self, monkeypatch):
+        _d, _p, index = build(grid_segments_touching(512, seed=3), capacity=8)
+        monkeypatch.setattr(TwoLevelBinaryIndex, "_rebalance_path",
+                            lambda self, path: None)
+        for s in skewed(300):
+            index.insert(s)
+        with pytest.raises(AssertionError, match="balance"):
+            index.check_invariants()
+        assert "balance" in index.verify()[0]
 
 
 @given(

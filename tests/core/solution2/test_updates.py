@@ -3,13 +3,14 @@
 import math
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.solution2 import TwoLevelIntervalIndex
 from repro.geometry import Segment, VerticalQuery, vs_intersects
 from repro.iosim import BlockDevice, Measurement, Pager
-from repro.workloads import grid_segments, mixed_queries
+from repro.workloads import grid_segments, grid_segments_touching, mixed_queries
 
 
 def build(segments, capacity=16, fanout=None):
@@ -99,6 +100,67 @@ class TestInsert:
             )
         index.check_invariants()
         assert len(index) == 130
+
+
+def skewed(count, x0=10**6):
+    """Disjoint horizontal segments marching right of all the data."""
+    return [Segment.from_coords(x0 + 10 * i, 0, x0 + 10 * i + 5, 0,
+                                label=("skew", i))
+            for i in range(count)]
+
+
+class TestBalance:
+    """Slab balance is checked against the node's whole weight, so fresh
+    builds pass and rebuilds are paid for by the insertions that skew a
+    subtree.  Shared endpoints keep many segments at the nodes: a test
+    that left those out would fail fresh nodes and rebuild them on every
+    insertion through them."""
+
+    def test_fresh_build_of_shared_endpoints_is_balanced(self):
+        for capacity in (8, 32):
+            _d, _p, index = build(grid_segments_touching(2048, seed=1),
+                                  capacity=capacity)
+            index.check_invariants()
+
+    def test_random_short_inserts_never_rebuild(self):
+        segments = grid_segments_touching(4096, seed=1)
+        dev, _p, index = build(segments, capacity=32)
+        width = max(s.xmax for s in segments)
+        rng = random.Random(4)
+        extra = []
+        for i in range(200):
+            x = rng.randrange(0, width)
+            y = -(5 + i)  # below all data, one row each: crosses nothing
+            s = Segment.from_coords(x, y, x + rng.randrange(1, 200), y,
+                                    label=("ins", i))
+            index.insert(s)
+            extra.append(s)
+        assert dev.tag_writes.get("rebuild", 0) == 0
+        index.check_invariants()
+        everything = segments + extra
+        for q in mixed_queries(everything, 10, selectivity=0.05, seed=5):
+            assert sorted((s.label for s in index.query(q)), key=str) == oracle(
+                everything, q)
+
+    def test_skewed_inserts_still_rebuild(self):
+        dev, _p, index = build(grid_segments_touching(600, seed=3), capacity=32)
+        extra = skewed(600)
+        for s in extra:
+            index.insert(s)
+        assert dev.tag_writes.get("rebuild", 0) > 0
+        index.check_invariants()
+        q = VerticalQuery.line(extra[300].xmin + 1)
+        assert [s.label for s in index.query(q)] == [("skew", 300)]
+
+    def test_check_invariants_asserts_balance(self, monkeypatch):
+        _d, _p, index = build(grid_segments_touching(600, seed=3), capacity=32)
+        monkeypatch.setattr(TwoLevelIntervalIndex, "_rebalance_path",
+                            lambda self, path: None)
+        for s in skewed(600):
+            index.insert(s)
+        with pytest.raises(AssertionError, match="balance"):
+            index.check_invariants()
+        assert "balance" in index.verify()[0]
 
 
 @given(
