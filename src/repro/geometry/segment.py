@@ -132,3 +132,43 @@ class Segment:
             f"Segment(({self.start.x!r}, {self.start.y!r}) -> "
             f"({self.end.x!r}, {self.end.y!r}), label={self.label!r})"
         )
+
+    # ------------------------------------------------------------------
+    # pickling
+    # ------------------------------------------------------------------
+    def __reduce__(self):
+        """Pickle as one flat tuple instead of three slot-state objects.
+
+        Answers cross a process boundary at every serving hop, and the
+        default slotted form (this object plus its two points, each with
+        its own state dict) costs several times as much to encode (see
+        DESIGN.md §13).  ``_fp`` rides along so decoding never
+        recomputes it.
+        """
+        start, end = self.start, self.end
+        return (_restore_segment,
+                (start.x, start.y, end.x, end.y, self.label, self._fp))
+
+
+_new = object.__new__
+
+
+def _restore_segment(sx, sy, ex, ey, label, fp) -> Segment:
+    """Inverse of :meth:`Segment.__reduce__`.
+
+    Sets the slots directly, as the default slot-state unpickle does:
+    the values were validated and normalised when the segment was first
+    built, so neither ``check_coordinate`` nor ``segment_fp`` runs again.
+    """
+    start = _new(Point)
+    start.x = sx
+    start.y = sy
+    end = _new(Point)
+    end.x = ex
+    end.y = ey
+    seg = _new(Segment)
+    seg.start = start
+    seg.end = end
+    seg.label = label
+    seg._fp = fp
+    return seg

@@ -105,27 +105,41 @@ _KIND_SPECS = {
 # ----------------------------------------------------------------------
 # restricted unpickling (shared with the snapshot container)
 # ----------------------------------------------------------------------
-#: Modules arena/snapshot payloads may resolve globals from.  Payloads
-#: only ever contain this library's value types plus stdlib scalars, so
-#: anything else in a stream is treated as damage, not data —
-#: ``pickle.loads`` on a hostile buffer is an RCE otherwise.
-ALLOWED_MODULE_PREFIXES = ("repro.", "fractions", "builtins", "collections")
+#: The only globals arena/snapshot payloads and serving frames may
+#: resolve: this library's value types, the flat-segment reconstructor
+#: and ``Fraction``.  Payloads never need anything else, so any other
+#: global in a stream is damage or an attack, not data.  Never admit a
+#: whole module: ``builtins`` holds ``eval`` and ``repro`` holds
+#: functions that write files, and unpickling calls what it resolves.
+ALLOWED_GLOBALS = frozenset({
+    ("fractions", "Fraction"),
+    ("repro.geometry.point", "Point"),
+    ("repro.geometry.segment", "Segment"),
+    ("repro.geometry.segment", "_restore_segment"),
+    ("repro.geometry.query", "VerticalQuery"),
+    ("repro.geometry.linebased", "LineBasedSegment"),
+    ("repro.core.solution2.gtree", "GEntry"),
+    ("repro.core.solution2.slabs", "LongFragment"),
+    ("repro.core.recovery", "DegradedResult"),
+    ("repro.core.recovery", "DegradedBatch"),
+    ("repro.iosim.stats", "IOStats"),
+    ("repro.telemetry.explain", "ExplainReport"),
+    ("repro.telemetry.explain", "PhaseStats"),
+})
 
 
 class RestrictedUnpickler(pickle.Unpickler):
     def find_class(self, module: str, name: str):
-        if module.split(".")[0] + "." in ALLOWED_MODULE_PREFIXES or module in (
-            "fractions", "builtins", "collections",
-        ):
+        if (module, name) in ALLOWED_GLOBALS:
             return super().find_class(module, name)
         raise pickle.UnpicklingError(
             f"payload references forbidden global {module}.{name}"
         )
 
 
-def restricted_loads(payload: Union[bytes, memoryview], buffers=None):
-    """Unpickle with the module allowlist (out-of-band buffers allowed)."""
-    return RestrictedUnpickler(io.BytesIO(payload), buffers=buffers).load()
+def restricted_loads(payload: Union[bytes, memoryview]):
+    """Unpickle ``payload``, resolving only :data:`ALLOWED_GLOBALS`."""
+    return RestrictedUnpickler(io.BytesIO(payload)).load()
 
 
 # ----------------------------------------------------------------------

@@ -26,10 +26,12 @@ the way out, the worker times ``loads``/``dumps`` around its work, and
 the parent times the final ``loads`` — so the serialization tax that the
 ``ProcessPoolExecutor`` machinery normally hides becomes four measured
 phases.  Worker responses are *encoded* exactly once: the serialize
-phase pickles the results with protocol 5, extracting buffer-protocol
-objects out-of-band, and the executor hop then carries opaque bytes it
-can only memcpy — the old double encoding (results pickled inside a
-response that gets pickled again) is gone.  Every task carries a
+phase pickles the results into one payload, and the executor hop then
+carries opaque bytes it can only memcpy — the old double encoding
+(results pickled inside a response that gets pickled again) is gone.
+Answers hold no buffer-protocol objects, so there are no out-of-band
+buffers; each :class:`~repro.geometry.Segment` in them encodes as one
+flat tuple (see :meth:`Segment.__reduce__`).  Every task carries a
 :class:`~repro.telemetry.SpanContext`; the
 worker opens a :class:`~repro.telemetry.WallTracer` that *continues the
 parent's trace id* and records timed spans for
@@ -153,11 +155,10 @@ def _run_task(kind: str, index: int, payload: bytes,
 
     ``kind`` is ``"query"`` or ``"explain"``; ``payload`` is the pickled
     query list.  The response dict is plain picklable data: the result
-    payload (protocol-5 bytes plus its out-of-band buffers, both wrapped
-    in :class:`pickle.PickleBuffer` so the executor's pickling pass
-    appends rather than re-encodes them), the telemetry delta, the
-    worker's span records (carrying the parent's trace id), slow-query-
-    log entries, and the epoch timestamps the parent needs to derive
+    payload (pre-pickled bytes, which the executor's pickling pass
+    copies rather than re-encodes), the telemetry delta, the worker's
+    span records (carrying the parent's trace id), slow-query-log
+    entries, and the epoch timestamps the parent needs to derive
     dispatch/collect.
 
     ``chaos_kill`` is a named kill point from
@@ -192,15 +193,12 @@ def _run_task(kind: str, index: int, payload: bytes,
         result, stats = capture_batch(db, lambda: runner(queries))
 
     with tracer.span("serialize", category="ipc", shard=index):
-        buffers: List[pickle.PickleBuffer] = []
-        result_payload = pickle.dumps(result, protocol=5,
-                                      buffer_callback=buffers.append)
+        result_payload = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
 
     slow_entries = db.slow_log.drain() if db.slow_log is not None else []
     chaos_kill_point("worker.before-reply", chaos_kill)
     return {
         "payload": result_payload,
-        "buffers": [bytes(b.raw()) for b in buffers],
         "stats": stats,
         "spans": tracer.to_dicts(),
         "phases": tracer.by_name(),
@@ -481,8 +479,7 @@ class ShardWorkerPool:
     def _collect_one(self, index: int, raw: dict, submitted: float,
                      pickle_s: float, tracer) -> WorkerTaskResult:
         t0 = perf_counter()
-        payload = restricted_loads(raw["payload"],
-                                   buffers=raw["buffers"] or None)
+        payload = restricted_loads(raw["payload"])
         unpickle_s = perf_counter() - t0
         done = time.time()
         # Boundary-crossing phases from the shared epoch clock

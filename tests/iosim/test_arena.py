@@ -7,7 +7,8 @@ buffer and the parser, so every malformed input must raise a typed
 :class:`SnapshotFormatError` rather than a bare struct/pickle error.
 """
 
-import pickle
+import importlib
+import re
 import struct
 
 import pytest
@@ -20,7 +21,9 @@ from repro.iosim import (
     SnapshotFormatError,
     build_arena,
 )
-from repro.iosim.arena import _ARENA_HEADER, _TABLE_ENTRY
+from repro.iosim.arena import (_ARENA_HEADER, _BLOB_HEADER, _TABLE_ENTRY,
+                               ALLOWED_GLOBALS, KIND_NONE)
+from tests.hostile import hostile_payloads
 
 
 def make_device(pages=6, capacity=8):
@@ -183,24 +186,41 @@ def test_unknown_page_id():
         view.decode_page(10_000)
 
 
-def test_hostile_blob_rejected():
+def test_hostile_blob_rejected(tmp_path):
     """A page blob resolving globals outside the allowlist must not
-    execute, even when its table fingerprint is made to agree."""
-    _device, arena = make_arena()
-    view = ArenaView(arena)
-    pid = view.page_ids[0]
-    offset, length, _crc = view._entries[pid]
-    evil = pickle.dumps(struct.pack)
-    assert len(evil) <= length, "shrink the hostile payload for this test"
-    blob = bytearray(arena)
-    blob[offset:offset + len(evil)] = evil
-    pos = _table_start(arena)
-    entry = list(_TABLE_ENTRY.unpack_from(blob, pos))
-    entry[2] = len(evil)
-    _TABLE_ENTRY.pack_into(blob, pos, *entry)
-    view = ArenaView(bytes(blob))
-    with pytest.raises(SnapshotFormatError, match="undecodable blob"):
-        view.decode_page(pid)
+    execute, even behind a well-formed sidecar header — and allowed
+    modules (``builtins``, ``repro``) are no excuse."""
+    device = BlockDevice(8)
+    page = device.alloc()
+    page.items = ["x" * 1024]  # room for every hostile blob below
+    device.write(page)
+    arena = build_arena(device, {})
+    offset, length, _crc = ArenaView(arena)._entries[page.page_id]
+    marker = tmp_path / "pwned"
+    for case, (name, evil) in hostile_payloads(str(marker)).items():
+        evil = _BLOB_HEADER.pack(KIND_NONE, 0, 0, 0, len(evil)) + evil
+        assert len(evil) <= length, "shrink the hostile payload for this test"
+        blob = bytearray(arena)
+        blob[offset:offset + len(evil)] = evil
+        pos = _table_start(arena)
+        entry = list(_TABLE_ENTRY.unpack_from(blob, pos))
+        entry[2] = len(evil)
+        _TABLE_ENTRY.pack_into(blob, pos, *entry)
+        view = ArenaView(bytes(blob))
+        with pytest.raises(SnapshotFormatError,
+                           match=f"undecodable blob: payload references "
+                                 f"forbidden global {re.escape(name)}$"):
+            view.decode_page(page.page_id)
+        assert not marker.exists(), f"{case} payload ran"
+
+
+def test_allowed_globals_name_what_pickle_writes():
+    """Each allowlisted pair is the ``(__module__, __qualname__)`` that
+    pickle writes for its object, so a rename or move fails here rather
+    than as a "forbidden global" on live data."""
+    for module, name in ALLOWED_GLOBALS:
+        obj = getattr(importlib.import_module(module), name)
+        assert (obj.__module__, obj.__qualname__) == (module, name)
 
 
 def test_undecodable_meta():

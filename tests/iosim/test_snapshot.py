@@ -6,6 +6,7 @@ the arena-specific failure modes live in ``test_arena.py``.
 """
 
 import pickle
+import re
 import struct
 import zlib
 
@@ -19,6 +20,7 @@ from repro.iosim import (
     save_device,
 )
 from repro.iosim.snapshot import _HEADER, MAGIC, SUPPORTED_VERSIONS
+from tests.hostile import hostile_payloads
 
 VERSIONS = SUPPORTED_VERSIONS
 
@@ -195,11 +197,18 @@ def test_missing_payload_field(tmp_path):
 
 
 def test_hostile_globals_rejected(tmp_path):
-    """A pickle resolving globals outside the allowlist must not execute."""
+    """A pickle resolving globals outside the allowlist must not execute:
+    not another module's callable, and not a ``builtins`` or ``repro``
+    one either — allowed modules are no excuse."""
+    marker = tmp_path / "pwned"
     path = tmp_path / "dev.snap"
-    payload = pickle.dumps(struct.pack)  # any non-allowlisted callable
-    path.write_bytes(
-        _HEADER.pack(MAGIC, 1, len(payload), zlib.crc32(payload)) + payload
-    )
-    with pytest.raises(SnapshotFormatError, match="undecodable payload"):
-        load_device(str(path))
+    for case, (name, payload) in hostile_payloads(str(marker)).items():
+        path.write_bytes(
+            _HEADER.pack(MAGIC, 1, len(payload), zlib.crc32(payload))
+            + payload
+        )
+        with pytest.raises(SnapshotFormatError,
+                           match=f"undecodable payload: payload references "
+                                 f"forbidden global {re.escape(name)}$"):
+            load_device(str(path))
+        assert not marker.exists(), f"{case} payload ran"

@@ -12,8 +12,10 @@ import time
 import pytest
 
 from repro import ShardedSegmentDatabase
+from repro.geometry.filtered import segment_fp
 from repro.serving import ServeClient, ServeDaemon, ServeRejected
 from repro.workloads import grid_segments, segment_queries
+from tests.hostile import hostile_payloads
 
 
 class EchoDB:
@@ -164,6 +166,34 @@ def test_malformed_frame_is_answered_not_fatal():
         _stop(daemon, thread)
 
 
+def test_hostile_frame_is_a_bad_frame_and_never_runs(tmp_path):
+    """A frame whose pickle reduces to ``builtins.eval`` is refused as a
+    bad frame before anything runs, and the daemon keeps serving."""
+    import socket
+    import struct
+
+    from repro.iosim import restricted_loads
+
+    marker = tmp_path / "pwned"
+    _name, evil = hostile_payloads(str(marker))["eval"]
+    daemon = ServeDaemon(EchoDB())
+    thread = _start(daemon)
+    try:
+        with socket.create_connection(("127.0.0.1", daemon.port),
+                                      timeout=10) as sock, \
+                sock.makefile("rb") as reply:
+            sock.sendall(struct.pack(">I", len(evil)) + evil)
+            (length,) = struct.unpack(">I", reply.read(4))
+            response = restricted_loads(reply.read(length))
+        assert response["error_type"] == "bad-frame"
+        assert "forbidden global builtins.eval" in response["error"]
+        assert not marker.exists(), "the hostile frame ran"
+        with ServeClient(port=daemon.port) as client:
+            assert client.ping()["ok"]
+    finally:
+        _stop(daemon, thread)
+
+
 def test_drain_finishes_inflight_work():
     db = EchoDB(delay_s=0.2)
     daemon = ServeDaemon(db, batch_window_s=0.0)
@@ -214,6 +244,13 @@ def test_serves_a_real_sharded_database(tmp_path):
     assert [sorted(s.label for s in r) for r in got] == \
            [sorted(s.label for s in r) for r in expected]
     assert "latency" in stats  # the pool's phase decomposition rode along
+    # Answers crossed two pickle hops (worker -> daemon -> client); the
+    # float filter's coefficients must arrive intact, not recomputed or
+    # dropped, so the client's fast path still works on them.
+    answers = [s for r in got for s in r]
+    assert answers
+    for s in answers:
+        assert s._fp == segment_fp(s.start.x, s.start.y, s.end.x, s.end.y)
 
 
 class SlowDB:
@@ -279,9 +316,12 @@ def test_overload_rejection_is_marked_retryable():
     daemon = ServeDaemon(db, max_pending=1, max_batch=1, batch_window_s=0.0)
     thread = _start(daemon)
     try:
-        blocked = [threading.Thread(
-            target=lambda i=i: ServeClient(port=daemon.port).query_batch([i]))
-            for i in range(2)]
+        def blocked_request(i):
+            with ServeClient(port=daemon.port) as client:
+                client.query_batch([i])
+
+        blocked = [threading.Thread(target=blocked_request, args=(i,))
+                   for i in range(2)]
         for t in blocked:
             t.start()
             time.sleep(0.15)
