@@ -1,14 +1,14 @@
-"""E20 — columnar page kernels: scalar vs vectorized scan/classify.
+"""E20 — fused page kernels: scalar vs fused scan/classify.
 
 The companion to E16.  E16 flips the *arithmetic* (filtered floats vs
 exact rationals); E20 flips the *kernel shape* — the same filtered
 arithmetic executed row-at-a-time by the original scalar loops
-(``set_vectorized(False)``) versus the batched page kernels of
-DESIGN.md §15 (fused pure-Python loops on narrow pages, numpy on wide
-ones, struct-of-arrays columns decoded once per page).  Results,
-per-query I/O counts and the fast-hit/exact-fallback telemetry are
-bit-identical in both modes — this file re-asserts that on a query
-sample before timing anything.
+(``set_vectorized(False)``) versus the fused page kernels of
+DESIGN.md §15 (one pure-Python pass per page of four or more rows).
+Results, per-query I/O counts and the fast-hit/exact-fallback telemetry
+are bit-identical in both modes — this file re-asserts that on a query
+sample before timing anything.  "columnar" names the kernel mode in the
+recorded fields and tables.
 
 Two headline numbers, both at N=4096, B=32:
 
@@ -25,11 +25,9 @@ Two headline numbers, both at N=4096, B=32:
   shows both ratios.
 
 A scalar-vs-columnar sweep over N and B maps where the kernels pay:
-wider pages amortise the per-page setup over more rows (the numpy tier
-engages at >= 256 rows — below that the fused loop's exact early exits
-beat full-page array expressions), while at B=16 the fused margin
-thins toward parity.  ``E20_N`` / ``E20_QUERIES`` shrink the workload
-for CI smoke runs.
+wider pages amortise the per-page setup over more rows, while at B=16
+the fused margin thins toward parity.  ``E20_N`` / ``E20_QUERIES``
+shrink the workload for CI smoke runs.
 """
 
 import os
@@ -228,7 +226,7 @@ def test_e20_kernels():
     ]
     archive(
         "e20_kernels",
-        "E20 — Columnar page kernels (scalar vs vectorized)",
+        "E20 — Fused page kernels (scalar vs fused)",
         [
             f"N={N}, B={B}, {len(queries)} segment queries (2% selectivity; "
             f"the E16 workload verbatim).  Same indexes, same queries, same "
@@ -262,10 +260,10 @@ def test_e20_kernels():
             "Wider pages amortise the per-page kernel setup across more "
             "rows; at B=16 the margin thins to parity (a 16-row page "
             "retires in a handful of early-exit compares either way).  "
-            "Tree nodes stay on the fused tier — its exact early exits "
-            "are data-adaptive, so the numpy tier only engages on 256+ "
-            "row pages (wide scans, arena sidecars).  Machine-readable "
-            "copy: `" + os.path.basename(path) + "` (key `E20`, "
+            "G-tree key compares are scalar in both modes, so solution2's "
+            "ratio comes from its PST and leaf scans alone.  "
+            "Machine-readable copy: `" + os.path.basename(path) + "` "
+            "(key `E20`, "
             "`kernel_speedup_ratio` gated by check_regression.py).",
         ],
     )

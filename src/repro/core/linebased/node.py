@@ -63,7 +63,7 @@ class ChildRef:
 class NodeView:
     """An in-memory view of one PST node (items + routing)."""
 
-    __slots__ = ("pid", "items", "children", "low", "routing_pid", "page")
+    __slots__ = ("pid", "items", "children", "low", "routing_pid")
 
     def __init__(
         self,
@@ -72,16 +72,12 @@ class NodeView:
         children: List[ChildRef],
         low: Any,
         routing_pid: Optional[int],
-        page: Optional[Page] = None,
     ):
         self.pid = pid
         self.items = items  # sorted by base_order_key
         self.children = children
         self.low = low  # separator height: max apex height below this node
         self.routing_pid = routing_pid
-        # The backing items page, kept so scan kernels can reuse its
-        # columnar cache (``items`` is a copy; row order matches).
-        self.page = page
 
     @property
     def is_leaf(self) -> bool:
@@ -118,7 +114,7 @@ def write_node(
         page.set_header("routing", routing.page_id)
         routing_pid = routing.page_id
     pager.write(page)
-    return NodeView(page.page_id, list(items), children, low, routing_pid, page)
+    return NodeView(page.page_id, list(items), children, low, routing_pid)
 
 
 def read_node(pager: Pager, pid: int) -> NodeView:
@@ -131,7 +127,7 @@ def read_node(pager: Pager, pid: int) -> NodeView:
     else:
         raw = pager.fetch(routing_pid).items
     children = [ChildRef.from_tuple(t) for t in raw]
-    return NodeView(pid, list(page.items), children, low, routing_pid, page)
+    return NodeView(pid, list(page.items), children, low, routing_pid)
 
 
 def read_node_cached(pager: Pager, pid: int) -> NodeView:
@@ -162,7 +158,7 @@ def read_node_cached(pager: Pager, pid: int) -> NodeView:
     else:
         raw = pager.fetch(routing_pid).items
     children = [ChildRef.from_tuple(t) for t in raw]
-    node = NodeView(pid, list(page.items), children, low, routing_pid, page)
+    node = NodeView(pid, list(page.items), children, low, routing_pid)
     views["pst"] = node
     return node
 

@@ -112,7 +112,7 @@ def _report_visit(tree, pid: int, query: HQuery, bounds: _Bounds, hits: List) ->
     reads_before = span.reads if span is not None else 0
     node = tree.read(pid)
     reported = False
-    summary = _kernels.page_classify_summary(node.page, query, node.items)
+    summary = _kernels.page_classify_summary(None, query, node.items)
     if summary is None:
         for segment in node.items:
             side = classify(segment, query)
@@ -191,7 +191,7 @@ def _find_visit(tree, pid, query, bounds: _Bounds, best: List, side: str) -> Non
     node = tree.read(pid)
     if span is not None:
         span.move("descent", reads=span.reads - reads_before)
-    summary = _kernels.page_classify_summary(node.page, query, node.items)
+    summary = _kernels.page_classify_summary(None, query, node.items)
     if summary is None:
         for segment in node.items:
             kind = classify(segment, query)

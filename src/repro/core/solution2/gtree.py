@@ -42,7 +42,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ...geometry import kernels as _kernels
-from ...geometry.filtered import STATS, ball, compare_interp
+from ...geometry.filtered import ball
 from ...iosim import DanglingPageError, Pager
 from ...storage.bplus import BPlusTree
 from ...storage.chain import PageChain
@@ -85,7 +85,8 @@ def _key_y_at(key: Tuple, x):
     """Evaluate a key's fragment at ``x``, clamped to the fragment's span.
 
     Used where a total-order *value* is needed (bridge merges, the
-    d-property check); query-time comparisons use :func:`_cmp_key_y`.
+    d-property check); query-time comparisons use
+    :func:`repro.geometry.kernels.gkey_sign_table`.
     """
     _y_mid, y_left, x_left, y_right, x_right = key
     if x <= x_left:
@@ -93,72 +94,6 @@ def _key_y_at(key: Tuple, x):
     if x >= x_right:
         return y_right
     return y_left + Fraction(y_right - y_left) * Fraction(x - x_left, x_right - x_left)
-
-
-def _cmp_key_y(key: Tuple, x, bound, xb=None, bb=None) -> int:
-    """Sign of ``_key_y_at(key, x) - bound`` without building the Fraction.
-
-    The interpolating case runs through the filtered kernel; the clamped
-    cases are plain endpoint comparisons.  ``xb``/``bb`` are the cached
-    balls of ``x`` and ``bound`` (see :func:`repro.geometry.filtered.ball`).
-    """
-    _y_mid, y_left, x_left, y_right, x_right = key
-    if x <= x_left:
-        y = y_left
-    elif x >= x_right:
-        y = y_right
-    else:
-        return compare_interp(y_left, x_left, y_right, x_right, x, bound, xb, bb)
-    if y > bound:
-        return 1
-    if y < bound:
-        return -1
-    return 0
-
-
-class _QuerySignCache:
-    """Per-query memo of whole-leaf vectorized key-sign tables.
-
-    ``sign(leaf, idx, key, which)`` is a drop-in for
-    ``_cmp_key_y(key, x0, bound, xb, bb)`` on row ``idx`` of ``leaf``
-    (``which`` selects the lo/hi bound): the first consult of a
-    (leaf, bound) pair computes one sign table for the whole page via
-    :func:`repro.geometry.kernels.gkey_sign_table`; later consults —
-    boundary refinement and the reporting scan revisit the same rows —
-    index into it.  Telemetry is charged per *consult*, exactly as the
-    scalar code charges per call: a row resolved through the
-    interpolation kernel counts one fast hit per consult, a clamped row
-    counts nothing, and an unresolved row falls through to the scalar
-    comparison (which counts itself).  With vectorization off every
-    table is ``None`` and every consult is the scalar call, so both
-    modes make identical filter-telemetry contributions.
-    """
-
-    __slots__ = ("x0", "xb", "_bounds", "_bballs", "_tables")
-
-    def __init__(self, x0, ylo, yhi, qballs: Tuple):
-        self.x0 = x0
-        self.xb = qballs[0]
-        self._bounds = (ylo, yhi)
-        self._bballs = (qballs[1], qballs[2])
-        self._tables: Dict[Tuple[int, int], Optional[Tuple]] = {}
-
-    def sign(self, leaf, idx: int, key: Tuple, which: int) -> int:
-        memo_key = (leaf.page_id, which)
-        table = self._tables.get(memo_key, False)
-        if table is False:
-            table = _kernels.gkey_sign_table(
-                leaf, leaf.items, self.x0, self._bounds[which], self.xb,
-                self._bballs[which])
-            self._tables[memo_key] = table
-        if table is not None:
-            signs, resolved, interp = table
-            if idx < signs.shape[0] and resolved[idx]:
-                if interp[idx]:
-                    STATS.fast_hits += 1
-                return int(signs[idx])
-        return _cmp_key_y(key, self.x0, self._bounds[which], self.xb,
-                          self._bballs[which])
 
 
 class _GNode:
@@ -382,10 +317,9 @@ class GTree:
         results: List[LongFragment] = []
         seen = self._seen_scratch
         seen.clear()
-        cache = _QuerySignCache(x0, ylo, yhi, qballs)
         for k in slabs:
             self._query_path(nodes, k, x0, ylo, yhi, use_bridges, qballs,
-                             results, seen, cache)
+                             results, seen)
         return results
 
     def query_group(
@@ -406,7 +340,6 @@ class GTree:
     def _query_path(
         self, nodes, k: int, x0, ylo, yhi, use_bridges: bool, qballs: Tuple,
         results: List[LongFragment], seen: set,
-        cache: _QuerySignCache,
     ) -> None:
         idx: Optional[int] = 0
         hint: Optional[Position] = None
@@ -425,7 +358,7 @@ class GTree:
                 tree = BPlusTree(self.pager, node.root_pid)
                 hint = self._scan_node(
                     tree, x0, ylo, yhi, hint if use_bridges else None, son_slot,
-                    results, seen, qballs, cache,
+                    results, seen, qballs,
                 )
             idx = next_idx
 
@@ -452,31 +385,34 @@ class GTree:
     def _scan_node(
         self, tree: BPlusTree, x0, ylo, yhi, hint: Optional[Position],
         son_slot: Optional[int], results: List[LongFragment], seen: set,
-        qballs: Tuple, cache: _QuerySignCache,
+        qballs: Tuple,
     ) -> Optional[Position]:
         """Report this node's hits; return the bridge hint for the next son."""
-        start = self._boundary_position(tree, x0, ylo, hint, qballs, cache)
+        start = self._boundary_position(tree, x0, ylo, hint, qballs)
         # The reporting scan is the output-charged part of the G search:
         # every page it touches holds ~B reported fragments (phase
         # "scan", the ``t`` term of Theorem 2).
         with trace.span("scan"):
             return self._scan_entries(
                 tree, start, x0, ylo, yhi, son_slot, results, seen, None,
-                cache
+                qballs,
             )
 
     def _scan_entries(
         self, tree: BPlusTree, start: Position, x0, ylo, yhi,
         son_slot: Optional[int], results: List[LongFragment], seen: set,
-        last_entry_before: Optional[GEntry], cache: _QuerySignCache,
+        last_entry_before: Optional[GEntry], qballs: Tuple,
     ) -> Optional[Position]:
         next_hint: Optional[Position] = None
-        for leaf_pid, idx, key, entry, leaf in self._iter_positions_from(tree, start):
+        xb, lob, hib = qballs
+        for _leaf_pid, _idx, key, entry in self._iter_positions_from(tree, start):
             real = not entry.frag.augmented
-            if ylo is not None and cache.sign(leaf, idx, key, 0) < 0:
+            if (ylo is not None
+                    and _kernels.gkey_sign_table(key, x0, ylo, xb, lob) < 0):
                 last_entry_before = entry
                 continue  # only augmented stragglers can appear here
-            if yhi is not None and real and cache.sign(leaf, idx, key, 1) > 0:
+            if (yhi is not None and real
+                    and _kernels.gkey_sign_table(key, x0, yhi, xb, hib) > 0):
                 if next_hint is None and son_slot is not None:
                     next_hint = entry.bridges.get(son_slot)
                 break
@@ -498,7 +434,7 @@ class GTree:
 
     def _boundary_position(
         self, tree: BPlusTree, x0, ylo, hint: Optional[Position],
-        qballs: Tuple, cache: _QuerySignCache,
+        qballs: Tuple,
     ) -> Position:
         """Position of the first *real* entry with ``y_at(x0) >= ylo``.
 
@@ -513,29 +449,25 @@ class GTree:
                 head = self._head_leaf(tree)
             return (head, 0)
         xb, lob = qballs[0], qballs[1]
-        # ``locate_first`` evaluates the predicate on B+-tree routing
-        # keys, which have no leaf row to index a sign table by — that
-        # descent stays scalar; leaf rows go through the cache.
-        pred = lambda key: _cmp_key_y(key, x0, ylo, xb, lob) >= 0  # noqa: E731
-        row_pred = lambda leaf, idx, key: cache.sign(leaf, idx, key, 0) >= 0  # noqa: E731
+        # One predicate for B+-tree routing keys and leaf rows alike.
+        pred = lambda key: _kernels.gkey_sign_table(key, x0, ylo, xb, lob) >= 0  # noqa: E731
         if hint is not None:
             with trace.span("cascade-hop"):
-                refined = self._exact_boundary(tree, hint, row_pred,
+                refined = self._exact_boundary(tree, hint, pred,
                                                page_budget=MAX_HINT_PAGES)
             if refined is not None:
                 return refined
         with trace.span("search"):
-            boundary = self._exact_boundary(tree, tree.locate_first(pred),
-                                            row_pred)
+            boundary = self._exact_boundary(tree, tree.locate_first(pred), pred)
         assert boundary is not None  # no page budget: never gives up
         return boundary
 
     def _exact_boundary(
-        self, tree, start: Position, row_pred,
+        self, tree, start: Position, pred,
         page_budget: Optional[int] = None
     ) -> Optional[Position]:
         """From ``start``, the position of the first real entry satisfying
-        the monotone predicate (``row_pred(leaf, idx, key)``).
+        the monotone predicate (``pred(key)``).
 
         Real fragments are monotone in ``y_at(x0)`` along the list order, so:
         if the first real entry at/after ``start`` fails the predicate, walk
@@ -563,23 +495,23 @@ class GTree:
             return True
 
         first_real: Optional[Tuple[Position, bool]] = None
-        for pid, i, key, entry, leaf in self._iter_positions_from(tree, start):
+        for pid, i, key, entry in self._iter_positions_from(tree, start):
             if not charge(pid):
                 return None
             if entry.frag.augmented:
                 continue
-            first_real = ((pid, i), row_pred(leaf, i, key))
+            first_real = ((pid, i), pred(key))
             break
 
         if first_real is not None and not first_real[1]:
             # Walk forward to the first satisfying real entry.
-            for pid, i, key, entry, leaf in self._iter_positions_from(
+            for pid, i, key, entry in self._iter_positions_from(
                     tree, first_real[0]):
                 if not charge(pid):
                     return None
                 if entry.frag.augmented:
                     continue
-                if row_pred(leaf, i, key):
+                if pred(key):
                     return (pid, i)
             return self._end_position(tree)
 
@@ -590,12 +522,12 @@ class GTree:
         back_start = self._position_before(start)
         pages[0] = 0
         last_leaf[0] = None
-        for pid, i, key, entry, leaf in self._iter_positions_back(tree, back_start):
+        for pid, i, key, entry in self._iter_positions_back(tree, back_start):
             if not charge(pid):
                 return None
             if entry.frag.augmented:
                 continue
-            if row_pred(leaf, i, key):
+            if pred(key):
                 best = (pid, i)
             else:
                 break
@@ -627,10 +559,8 @@ class GTree:
 
     def _iter_positions_from(
         self, tree: BPlusTree, start: Optional[Position]
-    ) -> Iterator[Tuple[int, int, Tuple, GEntry, object]]:
-        """Yield ``(leaf_pid, index, key, entry, leaf_page)`` forward from
-        ``start`` — the leaf page rides along so consumers can reach its
-        columnar sign tables without a second fetch."""
+    ) -> Iterator[Tuple[int, int, Tuple, GEntry]]:
+        """Yield ``(leaf_pid, index, key, entry)`` forward from ``start``."""
         if start is None:
             return
         pid, idx = start
@@ -641,13 +571,13 @@ class GTree:
                 return
             for i in range(max(idx, 0), len(leaf.items)):
                 key, entry = leaf.items[i]
-                yield (pid, i, key, entry, leaf)
+                yield (pid, i, key, entry)
             pid = leaf.get_header("next")
             idx = 0
 
     def _iter_positions_back(
         self, tree: BPlusTree, start: Optional[Position]
-    ) -> Iterator[Tuple[int, int, Tuple, GEntry, object]]:
+    ) -> Iterator[Tuple[int, int, Tuple, GEntry]]:
         if start is None:
             return
         pid, idx = start
@@ -659,7 +589,7 @@ class GTree:
             idx = min(idx, len(leaf.items) - 1)
             for i in range(idx, -1, -1):
                 key, entry = leaf.items[i]
-                yield (pid, i, key, entry, leaf)
+                yield (pid, i, key, entry)
             pid = leaf.get_header("prev")
             idx = 10**9
 

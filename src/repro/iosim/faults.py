@@ -538,7 +538,6 @@ class FaultyBlockDevice(BlockDevice):
             raise StorageError("no operation journal to roll back")
         # Resurrect deferred frees first so their pre-images apply.
         for page_id, page in self._journal_frees.items():
-            page.cols = None
             page.views = None
             self._pages[page_id] = page
         for page_id, pre in self._journal.items():
@@ -555,8 +554,7 @@ class FaultyBlockDevice(BlockDevice):
             page.items = list(items)
             page.header = dict(header)
             # Direct restore bypasses put_items/set_header; drop the
-            # derived caches or they would describe the aborted state.
-            page.cols = None
+            # derived cache or it would describe the aborted state.
             page.views = None
             if fingerprint is None:
                 self._fingerprints.pop(page_id, None)

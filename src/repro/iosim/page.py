@@ -34,21 +34,17 @@ class Page:
         Maximum number of payload items (the paper's ``B``).
     """
 
-    __slots__ = ("page_id", "capacity", "items", "header", "cols", "views")
+    __slots__ = ("page_id", "capacity", "items", "header", "views")
 
     def __init__(self, page_id: int, capacity: int):
         self.page_id = page_id
         self.capacity = capacity
         self.items: List[Any] = []
         self.header: Dict[str, Any] = {}
-        #: Lazily-built columnar mirror of ``items`` (``(kind, columns)``,
-        #: see :mod:`repro.geometry.kernels`).  Pure cache: never
-        #: serialized, never fingerprinted, dropped on any payload write.
-        self.cols = None
         #: Cache of decoded per-page structures (attached second-level
-        #: indexes, node views, frames) keyed by the owner.  Same
-        #: contract as ``cols``, but additionally dropped on header
-        #: writes — the cached objects decode routing words.
+        #: indexes, node views, frames) keyed by the owner.  Pure cache:
+        #: never serialized, never fingerprinted, dropped on any payload
+        #: or header write — the cached objects decode routing words.
         self.views = None
 
     # ------------------------------------------------------------------
@@ -60,7 +56,6 @@ class Page:
         if len(new_items) > self.capacity:
             raise PageOverflowError(self.page_id, len(new_items), self.capacity)
         self.items = new_items
-        self.cols = None
         self.views = None
 
     def append_item(self, item: Any) -> None:
@@ -68,7 +63,6 @@ class Page:
         if len(self.items) + 1 > self.capacity:
             raise PageOverflowError(self.page_id, len(self.items) + 1, self.capacity)
         self.items.append(item)
-        self.cols = None
         self.views = None
 
     @property

@@ -112,11 +112,10 @@ class Pager:
 
     def write(self, page: Page) -> None:
         """Write a page; within an operation each page is flushed once."""
-        # Any write invalidates the page's columnar cache — several
+        # Any write invalidates the page's decode cache — several
         # callers mutate ``page.items`` in place (B+-tree inserts, R-tree
         # entry updates) before flushing, so the cache can't be trusted
         # past this point.
-        page.cols = None
         page.views = None
         if self._dirty is not None:
             if page.page_id in self._dirty:

@@ -13,79 +13,58 @@ File layout (all integers big-endian)::
 
     offset  size  field
     0       8     magic  b"REPROSNP"
-    8       4     format version
+    8       4     format version (2; no other version reads)
     12      8     payload length in bytes
     20      4     CRC32 of the payload bytes
-    24      ...   payload
+    24      ...   payload: a flat page arena
 
-Two payload formats exist behind the same container:
+The payload is a *flat page arena* (:mod:`repro.iosim.arena`): one
+contiguous region with a fixed-width offset/length/fingerprint table,
+each page an independent blob.  The arena is what shared-memory serving
+maps once and attaches to in O(1); ``load_device`` decodes it eagerly
+for the single-process open path.
 
-* **version 2 (current)** — the payload is a *flat page arena*
-  (:mod:`repro.iosim.arena`): one contiguous region with a fixed-width
-  offset/length/fingerprint table, each page an independent blob.  The
-  arena is what shared-memory serving maps once and attaches to in
-  O(1); ``load_device`` decodes it eagerly so the single-process open
-  path behaves exactly like version 1.
-* **version 1 (legacy, still readable)** — the payload is one pickled
-  dict holding all pages as a single object graph.  Cross-page item
-  identity survives a v1 round trip (a v2 round trip preserves identity
-  only within a page); results and per-query I/O are identical either
-  way.
-
-Verification has two independent layers in both formats: the file CRC
-catches truncation and bit rot in the container; per-page fingerprints
+Verification has two independent layers: the file CRC catches
+truncation and bit rot in the container; per-page fingerprints
 (:func:`~repro.iosim.faults.page_fingerprint`, the same checksum the
 fault layer maintains at rest) catch anything that slipped through, or
-a blob that decoded into different content.  Every failure mode raises
-a typed :class:`~repro.iosim.errors.SnapshotFormatError`.
+a blob that decoded into different content.  Every failure mode — an
+unknown container or arena version included — raises a typed
+:class:`~repro.iosim.errors.SnapshotFormatError`.
 """
 
 from __future__ import annotations
 
-import pickle
 import struct
 import zlib
 from typing import Any, Dict, Tuple
 
-from .arena import ArenaView, build_arena, restricted_loads
+from .arena import ArenaView, build_arena
 from .disk import BlockDevice
 from .errors import SnapshotFormatError
-from .faults import page_fingerprint
-from .page import Page
 
 MAGIC = b"REPROSNP"
 FORMAT_VERSION = 2
-SUPPORTED_VERSIONS = (1, 2)
 _HEADER = struct.Struct(">8sIQI")  # magic, version, payload length, CRC32
 
 
-def save_device(path: str, device: BlockDevice, meta: Dict[str, Any],
-                format_version: int = FORMAT_VERSION) -> int:
+def save_device(path: str, device: BlockDevice, meta: Dict[str, Any]) -> int:
     """Serialize ``device``'s live pages plus ``meta`` to ``path``.
 
     ``meta`` is the caller's engine metadata (engine name, root page ids,
     segment count, ...); it must be picklable and is returned verbatim by
-    :func:`load_device`.  ``format_version`` selects the payload format
-    (2 writes the flat arena; 1 writes the legacy object-graph pickle
-    for tooling that must preserve cross-page item identity).  Returns
-    the number of bytes written.
+    :func:`load_device`.  Returns the number of bytes written.
     """
-    if format_version not in SUPPORTED_VERSIONS:
-        raise ValueError(f"cannot write snapshot format {format_version}; "
-                         f"supported: {SUPPORTED_VERSIONS}")
-    if format_version == 1:
-        payload = _encode_v1(device, meta)
-    else:
-        payload = build_arena(device, meta)
+    payload = build_arena(device, meta)
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(MAGIC, format_version, len(payload),
+        fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, len(payload),
                               zlib.crc32(payload)))
         fh.write(payload)
     return _HEADER.size + len(payload)
 
 
-def _read_payload(path: str) -> Tuple[int, bytes]:
-    """Read and container-verify a snapshot file: ``(version, payload)``.
+def _read_payload(path: str) -> bytes:
+    """Read and container-verify a snapshot file; returns its payload.
 
     Verification order: magic → version → payload length → file CRC.
     """
@@ -99,11 +78,11 @@ def _read_payload(path: str) -> Tuple[int, bytes]:
                 raise SnapshotFormatError(
                     path, f"bad magic {magic!r} (not a repro snapshot)"
                 )
-            if version not in SUPPORTED_VERSIONS:
+            if version != FORMAT_VERSION:
                 raise SnapshotFormatError(
                     path,
                     f"unsupported format version {version} "
-                    f"(this build reads versions {SUPPORTED_VERSIONS})",
+                    f"(this build reads version {FORMAT_VERSION} only)",
                 )
             payload = fh.read(length + 1)
     except OSError as exc:
@@ -116,22 +95,19 @@ def _read_payload(path: str) -> Tuple[int, bytes]:
         )
     if zlib.crc32(payload) != crc:
         raise SnapshotFormatError(path, "payload CRC mismatch (corrupt file)")
-    return version, payload
+    return payload
 
 
 def load_device(path: str) -> Tuple[BlockDevice, Dict[str, Any]]:
     """Restore ``(device, meta)`` from a snapshot written by
-    :func:`save_device` (either format version).
+    :func:`save_device`.
 
     Any damage raises :class:`SnapshotFormatError`; a clean load returns
     a fresh :class:`BlockDevice` with zeroed I/O counters (restoring a
     snapshot is free in the cost model, like ``bulk_load``'s post-build
     reset).
     """
-    version, payload = _read_payload(path)
-    if version == 1:
-        return _decode_v1(path, payload)
-    view = ArenaView(payload, source=path)
+    view = ArenaView(_read_payload(path), source=path)
     device = view.materialize()
     return device, view.meta
 
@@ -140,62 +116,10 @@ def read_arena(path: str) -> bytes:
     """The container-verified arena payload of a snapshot, as bytes.
 
     This is what shared-memory serving copies into a segment once per
-    shard.  A version-2 file hands back its payload verbatim; a legacy
-    version-1 file is decoded and re-encoded as an arena, so old
-    snapshots serve through the zero-copy path too (paying one
-    conversion in the parent, never per worker).
+    shard.  The arena is parsed eagerly: a damaged or unsupported arena
+    must fail here, in the process that owns the file, not later inside
+    a worker.
     """
-    version, payload = _read_payload(path)
-    if version == 2:
-        # Parse eagerly: a damaged arena must fail here, in the process
-        # that owns the file, not later inside a worker.
-        ArenaView(payload, source=path)
-        return payload
-    device, meta = _decode_v1(path, payload)
-    return build_arena(device, meta)
-
-
-# ----------------------------------------------------------------------
-# legacy version-1 payload (object-graph pickle)
-# ----------------------------------------------------------------------
-def _encode_v1(device: BlockDevice, meta: Dict[str, Any]) -> bytes:
-    pages = sorted(device.iter_pages(), key=lambda p: p.page_id)
-    payload_obj = {
-        "meta": meta,
-        "block_capacity": device.block_capacity,
-        "next_id": device._next_id,
-        "pages": [(p.page_id, p.items, p.header) for p in pages],
-        "page_crcs": {p.page_id: page_fingerprint(p) for p in pages},
-    }
-    return pickle.dumps(payload_obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def _decode_v1(path: str, payload: bytes) -> Tuple[BlockDevice, Dict[str, Any]]:
-    try:
-        payload_obj = restricted_loads(payload)
-    except Exception as exc:  # pickle raises a zoo of types
-        raise SnapshotFormatError(path, f"undecodable payload: {exc}") from exc
-    try:
-        block_capacity = payload_obj["block_capacity"]
-        next_id = payload_obj["next_id"]
-        pages = payload_obj["pages"]
-        page_crcs = payload_obj["page_crcs"]
-        meta = payload_obj["meta"]
-    except (TypeError, KeyError) as exc:
-        raise SnapshotFormatError(path, f"missing field: {exc}") from exc
-
-    device = BlockDevice(block_capacity)
-    for page_id, items, header in pages:
-        page = Page(page_id, block_capacity)
-        page.items = items
-        page.header = header
-        expected = page_crcs.get(page_id)
-        if expected is None or page_fingerprint(page) != expected:
-            raise SnapshotFormatError(
-                path, f"page {page_id}: checksum mismatch"
-            )
-        device._pages[page_id] = page
-    device._next_id = max(
-        next_id, max(device._pages, default=-1) + 1
-    )
-    return device, meta
+    payload = _read_payload(path)
+    ArenaView(payload, source=path)
+    return payload

@@ -196,9 +196,8 @@ class SharedShardArenas:
         """Map every shard snapshot's arena into its own segment.
 
         Each path is read through :func:`~repro.iosim.read_arena`, so a
-        damaged file fails *here*, in the process that owns it — workers
-        only ever see container-verified bytes.  Legacy v1 snapshots are
-        converted to arenas once, in the parent.
+        damaged or unsupported file fails *here*, in the process that
+        owns it — workers only ever see container-verified bytes.
 
         Per shard path, the owner lock decides the naming scheme: lock
         acquired → deterministic name, stale collisions reclaimed; lock
@@ -280,9 +279,11 @@ class AttachedArena:
             raise
 
     def close(self) -> None:
-        """Detach (idempotent-ish): live zero-copy column views over the
-        arena keep the mapping pinned, so a refusing ``release`` is
-        tolerated — the mapping falls away when the last view dies."""
+        """Detach (idempotent-ish).  Decoded pages are unpickled copies,
+        so no page holds a view into the buffer; a slice still referenced
+        elsewhere (an exception's traceback, say) keeps the mapping
+        pinned, so a refusing ``release`` is tolerated — the mapping
+        falls away when that reference dies."""
         self.view.release()
         try:
             self._buf.release()

@@ -1,20 +1,16 @@
-"""Hypothesis properties of the vectorized page kernels (DESIGN.md §15).
+"""Hypothesis properties of the fused page kernels (DESIGN.md §15).
 
-Every kernel tier — the fused pure-Python loops and the numpy array
-expressions — must agree with the scalar reference row for row, *and*
-consume the same filtered-arithmetic telemetry (``fast_hits`` /
-``exact_fallbacks``): the telemetry feeds E16/E20's hit-rate numbers,
-so a tier that certified more or fewer signs than the scalar
-short-circuits would silently skew the published measurements even if
-its answers were right.
+The fused pure-Python loops must agree with the scalar reference row
+for row, *and* consume the same filtered-arithmetic telemetry
+(``fast_hits`` / ``exact_fallbacks``): the telemetry feeds E16/E20's
+hit-rate numbers, so a kernel that certified more or fewer signs than
+the scalar short-circuits would silently skew the published
+measurements even if its answers were right.
 
 The strategies deliberately reach the awkward pages: verticals, shared
 endpoints, duplicate labels, empty pages, rows whose coordinates tie
 the query bounds exactly (true sign-0 decisions — the forced exact
 fallbacks), and huge coordinates whose float images lose precision.
-The numpy tier is exercised by calling it directly with built columns:
-engine runs at B=32 never reach ``NUMPY_MIN_ROWS``, so these tests are
-its correctness coverage.
 """
 
 from fractions import Fraction
@@ -35,7 +31,7 @@ from repro.geometry import (
 from repro.geometry import kernels
 from repro.geometry.filtered import exact_only_enabled
 from repro.geometry.linebased import HQuery
-from repro.core.linebased.search import BELOW, HIT, LEFT, RIGHT, classify
+from repro.core.linebased.search import HIT, LEFT, RIGHT, classify
 
 # Coordinate pool: small ints (exact floats), a handful of round-off
 # magnets, and huge ints past the 2**53 exact-float range.
@@ -131,31 +127,9 @@ class TestClassifyKernels:
         assert tuple(got) == tuple(expected)
         assert fused_stats == scalar_stats
 
-    @given(lb_page_st(), st.data())
-    @settings(max_examples=250, deadline=None)
-    def test_numpy_matches_scalar(self, items, data):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy tier absent")
-        anchors = tuple(s.u1 for s in items[:3])
-        query = data.draw(hquery_st(anchors=anchors))
-        expected, scalar_stats = _with_stats(
-            lambda: [classify(s, query) for s in items])
-        cols = kernels.LBColumns.build(items)
-        codes, numpy_stats = _with_stats(
-            lambda: kernels.classify_rows(items, query, cols))
-        if codes is None:
-            return
-        names = {kernels.BELOW: BELOW, kernels.LEFT: LEFT,
-                 kernels.HIT: HIT, kernels.RIGHT: RIGHT}
-        assert [names[int(c)] for c in codes] == expected
-        assert numpy_stats == scalar_stats
-
     def test_empty_page(self):
         query = HQuery.segment(3, -5, 5)
         assert kernels.classify_summary_py([], query) == ([], None, None)
-        if kernels.HAVE_NUMPY:
-            cols = kernels.LBColumns.build([])
-            assert list(kernels.classify_rows([], query, cols)) == []
 
 
 @st.composite
@@ -210,23 +184,6 @@ class TestIntersectKernels:
             return
         assert got == expected
         assert fused_stats == scalar_stats
-
-    @given(plane_page_st(), st.data())
-    @settings(max_examples=250, deadline=None)
-    def test_numpy_matches_scalar(self, items, data):
-        if not kernels.HAVE_NUMPY:
-            pytest.skip("numpy tier absent")
-        anchors = tuple(s.start.x for s in items[:2])
-        query = data.draw(vquery_st(anchors=anchors))
-        expected, scalar_stats = _with_stats(
-            lambda: [vs_intersects(s, query) for s in items])
-        cols = kernels.SegColumns.build(items)
-        mask, numpy_stats = _with_stats(
-            lambda: kernels.intersect_rows(items, query, cols))
-        if mask is None:
-            return
-        assert [bool(m) for m in mask] == expected
-        assert numpy_stats == scalar_stats
 
     def test_empty_page(self):
         query = VerticalQuery.segment(0, -3, 3)
