@@ -1,32 +1,23 @@
-"""E17 — sharded parallel serving: snapshots, x-partitioning, workers.
+"""E17 — sharded serving: snapshots and x-partitioning.
 
 Not a paper claim but the deployment corollary of its cost model: the
 paper prices one query against one index; a serving system answers a
-stream of queries against data partitioned across processes.  Three
-effects are measured over a shard-count × worker-count sweep:
+stream of queries against data partitioned into shards.  Two effects
+are measured over a shard-count sweep, every shard opened in-process:
 
 * **snapshot leverage** — ``save()`` once, then ``open()`` restores a
   queryable database in O(pages) deserialization instead of the
   O(N log N) rebuild (recorded as save/open/rebuild seconds);
 * **routing leverage** — a vertical query has one x, so it touches one
   shard of K; per-shard I/O counters show the combined work staying flat
-  while per-process work shrinks;
-* **worker scaling** — ``query_batch`` across a process pool, each
-  worker holding its shard open and warm (wall-clock queries/sec by
-  worker count; ``workers=0`` is the synchronous fallback and the
-  correctness oracle — both paths must return identical results).
+  while per-shard work shrinks.
 
-The run also decomposes pooled latency: every task's wall-clock is split
-into dispatch / deserialize / attach / query / serialize / collect
-phases by the serving layer's cross-process span accounting, and the
-phase sum is asserted to cover the parent-observed task wall within 10%
-— the identity ``serve-bench --trace`` visualizes, pinned numerically.
-
-Throughput assertions are gated on ``os.cpu_count()`` (a single-core CI
-runner cannot show parallel speedup) and the open-vs-rebuild ratio
-assertion on ``N >= 100_000``; all numbers are recorded regardless in
-``BENCH_perf.json`` (schema v4).  ``E17_N`` / ``E17_QUERIES`` /
-``E17_SHARDS`` / ``E17_WORKERS`` shrink the sweep for CI smoke runs.
+Every sharded answer must equal the unsharded one.  Serving from
+several processes is ``repro serve --workers N``, priced end to end by
+perfbench's serve-bulk workload, not here.  The open-vs-rebuild ratio
+assertion is gated on ``N >= 100_000``; all numbers are recorded
+regardless in ``BENCH_perf.json``.  ``E17_N`` / ``E17_QUERIES`` /
+``E17_SHARDS`` shrink the sweep for CI smoke runs.
 """
 
 import os
@@ -42,8 +33,6 @@ N = int(os.environ.get("E17_N", "20000"))
 QUERIES = int(os.environ.get("E17_QUERIES", "256"))
 SHARD_COUNTS = tuple(
     int(s) for s in os.environ.get("E17_SHARDS", "1,2,4").split(","))
-WORKER_COUNTS = tuple(
-    int(s) for s in os.environ.get("E17_WORKERS", "0,2,4").split(","))
 BATCH_SIZE = int(os.environ.get("E17_BATCH", "64"))
 ENGINE = "solution2"
 
@@ -105,75 +94,30 @@ def test_e17_sharded_serving(tmp_path):
         sharded.save(directory)
         save_s = time.perf_counter() - t0
 
-        throughput[shards] = {}
-        latency[shards] = {}
-        oracle = None
-        for workers in WORKER_COUNTS:
-            t0 = time.perf_counter()
-            with ShardedSegmentDatabase.open(directory,
-                                             workers=workers) as served:
-                open_s = time.perf_counter() - t0
-                serve_s, results = _serve(served, queries)
-                got = _labels(results)
-                assert got == expected, (
-                    f"sharded(K={shards}, workers={workers}) != unsharded"
-                )
-                if oracle is None:
-                    oracle = [[str(s.label) for s in r] for r in results]
-                else:
-                    # Pool and synchronous paths must agree bit for bit
-                    # (ordering included), not just as sets.
-                    assert oracle == [[str(s.label) for s in r]
-                                      for r in results], (
-                        f"workers={workers} diverged from workers=0 "
-                        f"at K={shards}"
-                    )
-                report = served.latency_report()
-                throughput[shards][workers] = {
-                    "open_s": round(open_s, 4),
-                    "serve_s": round(serve_s, 4),
-                    "queries_per_s": round(len(queries) / serve_s, 1)
-                                     if serve_s else 0.0,
-                    "batch_p50_ms": report["batches"]["p50_ms"],
-                    "batch_p99_ms": report["batches"]["p99_ms"],
-                }
-                latency[shards][workers] = report
-                if workers > 0:
-                    # The cross-process phase decomposition must explain
-                    # the parent-observed task wall-clock: dispatch +
-                    # deserialize + attach + query + serialize + collect
-                    # within 10% (gaps inside a worker are the only
-                    # slack; clock noise is clamped out).
-                    coverage = report["phase_coverage"]
-                    assert coverage is not None and 0.9 <= coverage <= 1.05, (
-                        f"K={shards}, workers={workers}: phase sum "
-                        f"{report['phase_sum_s']}s covers {coverage} of "
-                        f"task wall {report['task_wall_s']}s"
-                    )
-                    for phase in ("dispatch", "deserialize", "query",
-                                  "serialize", "collect"):
-                        assert phase in report["phases_s"], (
-                            f"K={shards}, workers={workers}: "
-                            f"missing phase {phase!r}"
-                        )
-                if workers == 0:
-                    io = served.io_report()
-                    per_shard_io[shards] = {
-                        "combined": io["combined"]["total"],
-                        "per_shard": [s["total"] for s in io["shards"]],
-                    }
-        snapshot_rows.append([shards, sharded.replicated, round(save_s, 4)])
+        t0 = time.perf_counter()
+        served = ShardedSegmentDatabase.open(directory)
+        open_s = time.perf_counter() - t0
+        serve_s, results = _serve(served, queries)
+        assert _labels(results) == expected, f"sharded(K={shards}) != unsharded"
+        report = served.latency_report()
+        throughput[shards] = {
+            "open_s": round(open_s, 4),
+            "serve_s": round(serve_s, 4),
+            "queries_per_s": round(len(queries) / serve_s, 1)
+                             if serve_s else 0.0,
+            "batch_p50_ms": report["batches"]["p50_ms"],
+            "batch_p99_ms": report["batches"]["p99_ms"],
+        }
+        latency[shards] = report
+        io = served.io_report()
+        per_shard_io[shards] = {
+            "combined": io["combined"]["total"],
+            "per_shard": [s["total"] for s in io["shards"]],
+        }
+        snapshot_rows.append([shards, sharded.replicated, round(save_s, 4),
+                              round(open_s, 4)])
 
     cores = os.cpu_count() or 1
-    if cores >= 4 and 4 in WORKER_COUNTS and BATCH_SIZE >= 64:
-        best_shards = max(SHARD_COUNTS)
-        qps0 = throughput[best_shards][0]["queries_per_s"]
-        qps4 = throughput[best_shards][4]["queries_per_s"]
-        assert qps4 >= 2 * qps0, (
-            f"no worker scaling on {cores} cores: {qps4} q/s at 4 workers "
-            f"vs {qps0} q/s synchronous (K={best_shards})"
-        )
-
     payload = {
         "n": N,
         "block_capacity": B,
@@ -190,47 +134,24 @@ def test_e17_sharded_serving(tmp_path):
                                if flat_open_s else None,
         },
         "shard_counts": list(SHARD_COUNTS),
-        "worker_counts": list(WORKER_COUNTS),
-        "throughput": {
-            str(shards): {str(w): row for w, row in by_worker.items()}
-            for shards, by_worker in throughput.items()
-        },
-        "per_shard_io": {
-            str(shards): io for shards, io in per_shard_io.items()
-        },
-        "latency": {
-            str(shards): {str(w): report for w, report in by_worker.items()}
-            for shards, by_worker in latency.items()
-        },
+        "throughput": {str(k): row for k, row in throughput.items()},
+        "per_shard_io": {str(k): io for k, io in per_shard_io.items()},
+        "latency": {str(k): report for k, report in latency.items()},
     }
     path = write_perf_json("E17", payload)
 
-    qps_rows = [
-        [shards] + [throughput[shards][w]["queries_per_s"]
-                    for w in WORKER_COUNTS]
-        for shards in SHARD_COUNTS
-    ]
+    qps_rows = [[shards, throughput[shards]["queries_per_s"],
+                 throughput[shards]["batch_p50_ms"],
+                 throughput[shards]["batch_p99_ms"]]
+                for shards in SHARD_COUNTS]
     io_rows = [
         [shards, per_shard_io[shards]["combined"],
          " ".join(str(v) for v in per_shard_io[shards]["per_shard"])]
         for shards in SHARD_COUNTS
     ]
-    best_shards = max(SHARD_COUNTS)
-    phase_names = ("dispatch", "deserialize", "attach", "query",
-                   "serialize", "collect")
-    phase_rows = []
-    for workers in WORKER_COUNTS:
-        report = latency[best_shards][workers]
-        phase_rows.append(
-            [workers]
-            + [report["phases_s"].get(p, 0.0) for p in phase_names]
-            + [report["task_wall_s"],
-               report["phase_coverage"] if report["phase_coverage"]
-               is not None else "-"]
-        )
     archive(
         "e17_sharded_serving",
-        "E17 — Sharded parallel serving (snapshots, x-partitions, workers)",
+        "E17 — Sharded serving (snapshots, x-partitions)",
         [
             f"N={N}, B={B}, engine {ENGINE}, {len(queries)} segment queries "
             f"(2% selectivity) in batches of {BATCH_SIZE}, on {cores} "
@@ -239,37 +160,26 @@ def test_e17_sharded_serving(tmp_path):
             f"(×{rebuild_s / flat_open_s if flat_open_s else 0:.0f} "
             f"leverage, {flat_bytes} bytes).",
             table_section(
-                "Snapshot save time and replication by shard count:",
-                ["shards", "replicated segments", "save (s)"],
+                "Snapshot save/open time and replication by shard count:",
+                ["shards", "replicated segments", "save (s)", "open (s)"],
                 snapshot_rows,
             ),
             table_section(
-                "Wall-clock queries/second by shard × worker count "
-                "(workers=0 is the synchronous in-process path):",
-                ["shards", *(f"workers={w}" for w in WORKER_COUNTS)],
+                "Wall-clock queries/second by shard count, every shard "
+                "in this process:",
+                ["shards", "queries/s", "batch p50 (ms)", "batch p99 (ms)"],
                 qps_rows,
             ),
             table_section(
-                "Per-shard I/O at workers=0 (routing sends each query to "
-                "one shard; the combined total stays flat as K grows):",
+                "Per-shard I/O (routing sends each query to one shard; "
+                "the combined total stays flat as K grows):",
                 ["shards", "combined I/Os", "per-shard I/Os"],
                 io_rows,
             ),
-            table_section(
-                f"Cross-process phase decomposition at K={best_shards} "
-                "(seconds summed over tasks; coverage = phase sum / "
-                "parent-observed task wall, asserted within 10% for "
-                "pooled runs):",
-                ["workers", *phase_names, "task wall (s)", "coverage"],
-                phase_rows,
-            ),
             "Reading: sharding does not reduce total I/O (the same paths "
-            "are walked, just in smaller indexes); it divides the work "
-            "across processes, which is where the queries/sec scaling "
-            "comes from once real cores back the workers.  The phase "
-            "table prices the pool's overhead tax: dispatch and collect "
-            "(process hops + pickling) are what the E17 latency cliff is "
-            "made of when batches are small.  Machine-readable copy: `"
-            + os.path.basename(path) + "` (schema v4).",
+            "are walked, just in smaller indexes); it lets each query "
+            "walk a smaller index.  Serving from several processes forks "
+            "whole copies (`repro serve --workers N`, DESIGN.md §13).  "
+            "Machine-readable copy: `" + os.path.basename(path) + "`.",
         ],
     )

@@ -7,21 +7,10 @@ Compares a current perf artifact against a baseline copy and fails
   ``filtered_qps``) drops by more than ``--max-drop`` (default 25%);
 * any ``p99_ms`` latency inflates by more than ``--max-inflation``
   (default 25%);
-* any pooled-serving overhead-reduction ratio (E18's
-  ``overhead_reduction`` / ``attach_reduction`` — how many times
-  cheaper the shm transport's dispatch+attach+deserialize tax is than
-  the pickle pool's) shrinks by more than ``--max-ratio-drop``
-  (default 50%; ratios of two small timings are the noisiest metrics
-  in the file, but the E17 cliff was a ~30x effect — losing half the
-  win is a structural regression, not jitter);
-* E20's ``kernel_speedup_ratio`` (columnar over scalar kernel qps,
-  measured in-process so it is machine-noise-free) gates the same way:
-  it falling toward 1.0 means the vectorized page kernels stopped
-  paying for themselves.
-
-Experiments that stamp ``cpu_count`` (or ``cores``) report single-core
-runs explicitly — E18/E19's multi-core scaling gates disarm there, and
-the report says so rather than silently passing.
+* E20's ``kernel_speedup_ratio`` (fused over scalar kernel qps,
+  measured in-process so it is machine-noise-free) shrinks by more than
+  ``--max-ratio-drop`` (default 50%): it falling toward 1.0 means the
+  fused page kernels stopped paying for themselves.
 
 Only metrics attributed to the paper engines (``solution1`` /
 ``solution2``) gate; baseline metrics are noisy single-shot wall-clock
@@ -58,19 +47,12 @@ GATED_ENGINES = ("solution1", "solution2")
 #: Leaf keys read as throughput (higher is better).
 QPS_KEYS = ("queries_per_s", "queries_per_sec", "filtered_qps",
             "columnar_qps")
-#: Leaf keys read as tail latency (lower is better).  ``mttr_ms`` — how
-#: long E19's supervisor takes to notice a killed worker and respawn it
-#: — gates like a tail latency: recovery slowing past tolerance is an
-#: availability regression even when steady-state qps holds.
-P99_KEYS = ("p99_ms", "batch_p99_ms", "mttr_ms")
-#: Leaf keys read as overhead-reduction ratios (higher is better, noisy).
-#: ``supervised_qps_ratio`` (E19) is supervised/unsupervised fault-free
-#: throughput — near 1.0 by design; losing half of it means supervision
-#: started taxing the healthy path.
-#: ``kernel_speedup_ratio`` (E20) is columnar/scalar kernel throughput,
+#: Leaf keys read as tail latency (lower is better).
+P99_KEYS = ("p99_ms", "batch_p99_ms")
+#: Leaf keys read as speed-up ratios (higher is better).
+#: ``kernel_speedup_ratio`` (E20) is fused/scalar kernel throughput,
 #: timed back to back in one process — the least noisy ratio here.
-RATIO_KEYS = ("overhead_reduction", "attach_reduction",
-              "supervised_qps_ratio", "kernel_speedup_ratio")
+RATIO_KEYS = ("kernel_speedup_ratio",)
 #: Per-run bookkeeping stamps — never metrics.
 SKIP_KEYS = ("commit", "generated_at")
 
@@ -167,28 +149,11 @@ def compare(baseline: dict, current: dict, max_drop: float,
         "checked": checked,
         "baseline_only": sorted(k for k in base if k not in cur),
         "current_only": sorted(k for k in cur if k not in base),
-        "single_core": single_core_experiments(current),
         "regressions": regressions,
         "max_drop": max_drop,
         "max_inflation": max_inflation,
         "max_ratio_drop": max_ratio_drop,
     }
-
-
-def single_core_experiments(data: dict) -> List[str]:
-    """Experiments whose run recorded exactly one CPU core.
-
-    E18/E19 disarm their multi-core scaling gates on such runs (the
-    ``gates_armed`` entries carry a ``{"skipped": "1 core"}`` marker);
-    the report surfaces that instead of letting a pass read as a
-    multi-core verdict.
-    """
-    return sorted(
-        name
-        for name, payload in (data.get("experiments") or {}).items()
-        if isinstance(payload, dict)
-        and (payload.get("cpu_count") or payload.get("cores")) == 1
-    )
 
 
 def _load(path: str) -> dict:
@@ -247,13 +212,11 @@ def main(argv=None) -> int:
         print(f"# {verdict['checked']} gated metrics compared "
               f"(drop tolerance {max_drop:.0%}, "
               f"p99 inflation tolerance {max_inflation:.0%}, "
-              f"overhead-ratio drop tolerance {max_ratio_drop:.0%})")
+              f"ratio drop tolerance {max_ratio_drop:.0%})")
         for key in verdict["baseline_only"]:
             print(f"# baseline-only (not gated): {key}")
         for key in verdict["current_only"]:
             print(f"# new metric (not gated): {key}")
-        for name in verdict["single_core"]:
-            print(f"# {name}: multi-core scaling gates SKIPPED (1 core)")
         for r in verdict["regressions"]:
             direction = "inflated" if r["kind"] == "p99" else "dropped"
             print(f"REGRESSION {r['metric']}: {direction} "

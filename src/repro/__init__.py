@@ -21,7 +21,7 @@ reproduction of every complexity claim.
 from .core.api import DirectedSegmentDatabase, ENGINES, SegmentDatabase
 from .core.extensions import ArbitraryQueryIndex, TombstoneDeletions
 from .core.linebased import BlockedPST, ExternalPST, LineBasedIndex
-from .core.recovery import DegradedBatch, DegradedResult, FsckReport
+from .core.recovery import DegradedResult, FsckReport
 from .core.solution1 import TwoLevelBinaryIndex
 from .core.solution2 import TwoLevelIntervalIndex
 from .geometry import (
@@ -49,7 +49,7 @@ from .iosim import (
     SnapshotFormatError,
     TransientIOError,
 )
-from .serving import ShardWorkerPool, ShardedSegmentDatabase
+from .serving import ShardedSegmentDatabase
 from .telemetry import ExplainReport, MetricsRegistry, TraceContext
 
 __version__ = "1.0.0"
@@ -60,7 +60,6 @@ __all__ = [
     "BlockedPST",
     "ChecksumError",
     "CrossingError",
-    "DegradedBatch",
     "DegradedResult",
     "DirectedSegmentDatabase",
     "ENGINES",
@@ -79,7 +78,6 @@ __all__ = [
     "Pager",
     "RecoveryPendingError",
     "RetryPolicy",
-    "ShardWorkerPool",
     "ShardedSegmentDatabase",
     "SimulatedCrash",
     "SnapshotFormatError",

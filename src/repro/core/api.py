@@ -229,13 +229,10 @@ class SegmentDatabase:
     ) -> "SegmentDatabase":
         """A queryable database over an already-restored page store.
 
-        ``device`` may be any :class:`~repro.iosim.BlockDevice` — the
-        eager store :func:`~repro.iosim.load_device` returns, or a lazy
-        :class:`~repro.iosim.ArenaBlockDevice` over a shared-memory
-        arena (the warm-worker serving path, where the O(n) page decode
-        never happens up front at all).  ``meta`` is the snapshot
-        metadata dict (``engine`` + ``engine_meta``); the engine is
-        re-attached over the pages without running the builder.
+        ``device`` is a :class:`~repro.iosim.BlockDevice`, such as the
+        store :func:`~repro.iosim.load_device` returns.  ``meta`` is the
+        snapshot metadata dict (``engine`` + ``engine_meta``); the engine
+        is re-attached over the pages without running the bulk load.
         """
         try:
             engine = meta["engine"]

@@ -50,48 +50,6 @@ class DegradedResult(list):
         )
 
 
-class DegradedBatch(list):
-    """A batch answer in which one or more shards could not serve.
-
-    Returned by the sharded ``query_batch`` when worker supervision
-    exhausted its retries (or a circuit is open) for some shard: the
-    batch *is* the usual ``List[List[Segment]]``, but queries routed to
-    a dead shard carry :class:`DegradedResult` entries holding only the
-    segments the live shards contributed, and the batch itself states
-    exactly which shards answered:
-
-    ``degraded``
-        Always ``True`` — same uniform health check as
-        :class:`DegradedResult`.
-    ``shard_coverage``
-        ``{shard_index: "ok"}`` for shards that served, or a
-        ``"down: <reason>"`` string for shards that did not.  Only
-        shards the batch actually routed to appear, so the map is an
-        exact statement of what the answer covers.
-    ``reason``
-        Human-readable one-liner summarizing the failed shards.
-    """
-
-    degraded = True
-
-    def __init__(self, results, shard_coverage: dict, reason: str):
-        super().__init__(results)
-        self.shard_coverage = dict(shard_coverage)
-        self.reason = reason
-
-    @property
-    def complete(self) -> bool:
-        """Did every routed shard serve?  (``False`` for real batches —
-        a fully-covered batch is returned as a plain list instead.)"""
-        return all(v == "ok" for v in self.shard_coverage.values())
-
-    def __repr__(self) -> str:
-        return (
-            f"DegradedBatch({len(self)} queries, "
-            f"coverage={self.shard_coverage!r}, reason={self.reason!r})"
-        )
-
-
 @dataclass
 class FsckReport:
     """The result of an index fsck (``SegmentDatabase.fsck()``)."""

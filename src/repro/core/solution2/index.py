@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from ...geometry import Segment, VerticalBaseFrame, VerticalQuery, vs_intersects
+from ...geometry import Segment, VerticalBaseFrame, VerticalQuery
 from ...geometry.kernels import page_query_hits
 from ...iosim import Pager
 from ...storage.chain import PageChain

@@ -8,7 +8,6 @@ the fault model and crash-consistency protocol.
 
 from .arena import (
     ARENA_VERSION,
-    ArenaBlockDevice,
     ArenaView,
     build_arena,
     restricted_loads,
@@ -31,12 +30,11 @@ from .faults import FaultSchedule, FaultyBlockDevice, RetryPolicy, page_fingerpr
 from .page import HEADER_SLOTS, Page
 from .pager import Pager
 from .snapshot import FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION
-from .snapshot import load_device, read_arena, save_device
+from .snapshot import load_device, save_device
 from .stats import IOStats, Measurement
 
 __all__ = [
     "ARENA_VERSION",
-    "ArenaBlockDevice",
     "ArenaView",
     "BlockDevice",
     "build_arena",
@@ -62,7 +60,6 @@ __all__ = [
     "TransientIOError",
     "load_device",
     "page_fingerprint",
-    "read_arena",
     "restricted_loads",
     "save_device",
 ]

@@ -1,23 +1,16 @@
 """Flat page arenas: a whole page store as one contiguous byte region.
 
-Pickling every page into a single object graph makes *opening* a
-snapshot an O(n) deserialization — fine for one process, fatal for a
-worker pool where every process pays it again (the E17 serving cliff).
 The arena format applies the external-memory discipline of the related
-DAM-structure work (Iacono–Karsin–Koumoutsos) to the transfer path
-itself: the layout on the wire *is* the layout in memory.  All pages
-are serialized into one contiguous region fronted by a fixed-width
-offset/length/fingerprint table, so a consumer can
+DAM-structure work (Iacono–Karsin–Koumoutsos) to the snapshot itself:
+all pages are serialized into one contiguous region fronted by a
+fixed-width offset/length/fingerprint table, so a reader can
 
-* attach in O(1) — parse a 40-byte header and slice a table, no
+* parse the table in O(1) — a 40-byte header and a table slice, no
   per-page work;
 * decode any single page independently — each page is its own pickle,
   addressed by ``(offset, length)`` and verified against the same
   :func:`~repro.iosim.faults.page_fingerprint` the fault layer keeps at
-  rest;
-* share the region across processes — the arena is plain bytes, so one
-  copy in :mod:`multiprocessing.shared_memory` serves any number of
-  workers through zero-copy ``memoryview`` slices.
+  rest.
 
 Layout (all integers big-endian, offsets relative to arena start)::
 
@@ -37,15 +30,9 @@ Layout (all integers big-endian, offsets relative to arena start)::
 Every malformed-input path raises a typed
 :class:`~repro.iosim.errors.SnapshotFormatError` — truncation, a table
 entry pointing past the payload, a fingerprint mismatch — never a bare
-``struct`` or ``pickle`` error.
-
-:class:`ArenaBlockDevice` is the lazy consumer: a
-:class:`~repro.iosim.disk.BlockDevice` whose pages materialize from the
-arena on first read, held in a bounded decoded-page LRU so a warm
-worker's repeated batches hit live objects while cold pages cost one
-decode each.  Pages mutated after decode (writes, allocations) are
-pinned resident — the arena is immutable, so evicting a dirty page
-would silently lose the write.
+``struct`` or ``pickle`` error.  :meth:`ArenaView.materialize` decodes
+every page into a :class:`~repro.iosim.disk.BlockDevice`; that is how
+``SegmentDatabase.open`` reads a snapshot.
 """
 
 from __future__ import annotations
@@ -53,8 +40,7 @@ from __future__ import annotations
 import io
 import pickle
 import struct
-from collections import OrderedDict
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple, Union
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from .disk import BlockDevice
 from .errors import SnapshotFormatError
@@ -90,10 +76,6 @@ ALLOWED_GLOBALS = frozenset({
     ("repro.core.solution2.gtree", "GEntry"),
     ("repro.core.solution2.slabs", "LongFragment"),
     ("repro.core.recovery", "DegradedResult"),
-    ("repro.core.recovery", "DegradedBatch"),
-    ("repro.iosim.stats", "IOStats"),
-    ("repro.telemetry.explain", "ExplainReport"),
-    ("repro.telemetry.explain", "PhaseStats"),
 })
 
 
@@ -154,9 +136,9 @@ class ArenaView:
     decoded on demand by :meth:`decode_page`, which verifies the entry's
     fingerprint — so even a lazy consumer never trusts a damaged page.
 
-    When the buffer is a ``memoryview`` over shared memory, slicing is
-    zero-copy; call :meth:`release` before closing the segment (exported
-    views keep a POSIX shm mapping alive).
+    Slicing a ``memoryview`` buffer is zero-copy; call :meth:`release`
+    before the owner of the buffer frees it (exported views keep it
+    alive).
     """
 
     __slots__ = ("source", "_buf", "block_capacity", "next_id",
@@ -273,8 +255,7 @@ class ArenaView:
         return device
 
     def release(self) -> None:
-        """Drop every buffer slice this view holds (required before shm
-        close).
+        """Drop every buffer slice this view holds.
 
         Decoded pages are unpickled copies and hold no view into the
         buffer; a slice still referenced elsewhere (an exception's
@@ -287,106 +268,3 @@ class ArenaView:
                 view.release()
             except BufferError:
                 pass
-
-
-# ----------------------------------------------------------------------
-# lazy device
-# ----------------------------------------------------------------------
-class ArenaBlockDevice(BlockDevice):
-    """A block device decoding pages lazily out of an :class:`ArenaView`.
-
-    The warm-worker serving device: attach is O(1), and each page is
-    decoded from its arena slice on first read, then kept in a decoded-
-    page LRU of ``cache_pages`` entries (``None`` = unbounded) so
-    repeated batches against the same shard hit warm Python objects.
-    Clean pages can always be re-decoded, so eviction is safe; pages
-    that were written to (or freshly allocated) are pinned resident.
-
-    I/O accounting is inherited unchanged from :class:`BlockDevice` —
-    a lazily-decoded read charges exactly one read, like any other, so
-    per-query I/O counts match an eagerly restored device exactly.
-    """
-
-    def __init__(self, view: ArenaView,
-                 cache_pages: Optional[int] = None):
-        if cache_pages is not None and cache_pages < 1:
-            raise ValueError("cache_pages must be >= 1 (or None)")
-        super().__init__(view.block_capacity)
-        self._view = view
-        self._next_id = view.next_id
-        self._cache_pages = cache_pages
-        #: ids present in the arena and not currently materialized
-        self._lazy: Set[int] = set(view._entries)
-        #: clean decoded ids in recency order (eviction candidates)
-        self._clean_lru: "OrderedDict[int, None]" = OrderedDict()
-        #: ids whose in-memory page diverged from the arena (never evict)
-        self._dirty: Set[int] = set()
-        self.decodes = 0   # arena blob decodes (cold + re-decode)
-        self.evictions = 0
-
-    # -- materialization ------------------------------------------------
-    def _materialize(self, page_id: int) -> Page:
-        page = self._view.decode_page(page_id)
-        self.decodes += 1
-        self._pages[page_id] = page
-        self._lazy.discard(page_id)
-        self._clean_lru[page_id] = None
-        self._evict_over_budget()
-        return page
-
-    def _evict_over_budget(self) -> None:
-        if self._cache_pages is None:
-            return
-        while len(self._clean_lru) > self._cache_pages:
-            victim, _ = self._clean_lru.popitem(last=False)
-            del self._pages[victim]
-            self._lazy.add(victim)
-            self.evictions += 1
-
-    def _touch(self, page_id: int) -> None:
-        if page_id in self._clean_lru:
-            self._clean_lru.move_to_end(page_id)
-
-    # -- BlockDevice surface --------------------------------------------
-    def read(self, page_id: int) -> Page:
-        if page_id not in self._pages and page_id in self._lazy:
-            self._materialize(page_id)
-        self._touch(page_id)
-        return super().read(page_id)
-
-    def write(self, page: Page) -> None:
-        super().write(page)
-        self._dirty.add(page.page_id)
-        self._clean_lru.pop(page.page_id, None)
-
-    def alloc(self) -> Page:
-        page = super().alloc()
-        self._dirty.add(page.page_id)
-        return page
-
-    def free(self, page_id: int) -> None:
-        if page_id not in self._pages and page_id in self._lazy:
-            # Freeing a page nobody ever decoded: no reason to decode it
-            # just to throw it away.
-            self._lazy.discard(page_id)
-            self.frees += 1
-            return
-        super().free(page_id)
-        self._clean_lru.pop(page_id, None)
-        self._dirty.discard(page_id)
-
-    @property
-    def pages_in_use(self) -> int:
-        return len(self._pages) + len(self._lazy)
-
-    def iter_pages(self) -> Iterator[Page]:
-        """Iterate live pages (decoding lazy ones without caching them)."""
-        for page in list(self._pages.values()):
-            yield page
-        for page_id in sorted(self._lazy):
-            yield self._view.decode_page(page_id)
-
-    @property
-    def resident_pages(self) -> int:
-        """Pages currently decoded (the LRU working set + dirty pins)."""
-        return len(self._pages)

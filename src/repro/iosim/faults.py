@@ -109,7 +109,7 @@ class ReplayableSchedule:
     with its own reproduction recipe.  :class:`FaultSchedule` applies
     this to the storage layer; the serving layer's
     :class:`~repro.serving.resilience.RpcChaosSchedule` applies it to
-    worker processes and RPC frames.
+    RPC frames.
     """
 
     def __init__(self, seed: int = 0, enabled: bool = True):

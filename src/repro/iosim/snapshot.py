@@ -20,9 +20,7 @@ File layout (all integers big-endian)::
 
 The payload is a *flat page arena* (:mod:`repro.iosim.arena`): one
 contiguous region with a fixed-width offset/length/fingerprint table,
-each page an independent blob.  The arena is what shared-memory serving
-maps once and attaches to in O(1); ``load_device`` decodes it eagerly
-for the single-process open path.
+each page an independent blob; ``load_device`` decodes it eagerly.
 
 Verification has two independent layers: the file CRC catches
 truncation and bit rot in the container; per-page fingerprints
@@ -110,16 +108,3 @@ def load_device(path: str) -> Tuple[BlockDevice, Dict[str, Any]]:
     view = ArenaView(_read_payload(path), source=path)
     device = view.materialize()
     return device, view.meta
-
-
-def read_arena(path: str) -> bytes:
-    """The container-verified arena payload of a snapshot, as bytes.
-
-    This is what shared-memory serving copies into a segment once per
-    shard.  The arena is parsed eagerly: a damaged or unsupported arena
-    must fail here, in the process that owns the file, not later inside
-    a worker.
-    """
-    payload = _read_payload(path)
-    ArenaView(payload, source=path)
-    return payload

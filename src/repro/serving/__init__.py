@@ -1,7 +1,7 @@
-"""Sharded parallel serving over index snapshots.
+"""Sharded serving over index snapshots.
 
 The paper's cost model prices one machine answering one query; a serving
-deployment answers many queries against data partitioned across workers.
+deployment answers many queries against data partitioned into shards.
 This package adds that layer without touching the engines:
 
 * :class:`ShardedSegmentDatabase` partitions an NCT segment set into K
@@ -12,61 +12,38 @@ This package adds that layer without touching the engines:
   :meth:`ShardedSegmentDatabase.open`) make a built sharded database a
   directory of files that serving processes ``open()`` in O(pages) instead
   of rebuilding in O(N log N);
-* a :class:`ShardWorkerPool` executes shard sub-batches across OS
-  processes: on the shared-memory transport the parent maps each shard's
-  flat page arena into POSIX shm once and warm workers attach zero-copy
-  (:mod:`repro.serving.shm`); the legacy pickle transport has each
-  worker open its shard snapshot once and keep it warm.  ``workers=0``
-  runs the identical routing code synchronously;
-* a :class:`ServeDaemon` fronts a pool-backed database with an asyncio
-  socket server — request batching, bounded-queue admission control,
+* a :class:`ServeDaemon` answers whole requests over TCP in its own
+  process — request batching, bounded-queue admission control,
   per-request deadlines, structured typed error frames, a health frame,
-  graceful drain — driven by ``python -m repro serve``;
-* a resilience layer (:mod:`repro.serving.resilience`) keeps it
-  answering under failure: a :class:`SupervisorPolicy` gives the pool
-  liveness timeouts, executor respawn with shm re-attach, bounded
-  jittered retries and per-shard :class:`CircuitBreaker` shedding;
-  a shard lost past the retry budget degrades the batch into typed
-  partial results with an accurate shard-coverage map rather than an
-  exception or a silent wrong answer; and a seeded, replayable
-  :class:`RpcChaosSchedule` (worker SIGKILL at named points, frame
-  damage through :class:`ChaosProxy`) drives the ``chaos-serve``
+  graceful drain — driven by ``python -m repro serve``; a
+  :class:`PreforkServer` runs N of them in forked processes behind one
+  port (``serve --workers N``), each over its own copy of the shards;
+* :mod:`repro.serving.resilience` holds the client's typed
+  :class:`ServeConnectionError` and a seeded, replayable
+  :class:`RpcChaosSchedule` of wire faults, which :class:`ChaosProxy`
+  injects between client and daemon for the ``chaos-serve``
   never-silently-wrong oracle in tests and CI.
 
-See DESIGN.md §11 for how shard count and worker count interact with the
-paper's per-query I/O bounds, §13 for the arena layout and the
-warm-worker attach protocol, and §14 for the failure model.
+See DESIGN.md §11 for how shard count interacts with the paper's
+per-query I/O bounds, §13 for the pre-forked topology, and §14 for the
+failure model.
 """
 
 from .daemon import ServeClient, ServeDaemon, ServeRejected
+from .prefork import PreforkServer
 from .reporting import ShardBatchStats, capture_batch
-from .resilience import (WORKER_KILL_POINTS, ChaosProxy, CircuitBreaker,
-                         RpcChaosSchedule, ServeConnectionError,
-                         ShardDownError, SupervisorPolicy)
+from .resilience import ChaosProxy, RpcChaosSchedule, ServeConnectionError
 from .sharded import ShardedSegmentDatabase
-from .shm import AttachedArena, SharedShardArenas, segment_name, shm_available
-from .workers import TASK_PHASES, TRANSPORTS, ShardWorkerPool, WorkerTaskResult
 
 __all__ = [
-    "AttachedArena",
     "ChaosProxy",
-    "CircuitBreaker",
+    "PreforkServer",
     "RpcChaosSchedule",
     "ServeClient",
     "ServeConnectionError",
     "ServeDaemon",
     "ServeRejected",
     "ShardBatchStats",
-    "ShardDownError",
-    "ShardWorkerPool",
     "ShardedSegmentDatabase",
-    "SharedShardArenas",
-    "SupervisorPolicy",
-    "TASK_PHASES",
-    "TRANSPORTS",
-    "WORKER_KILL_POINTS",
-    "WorkerTaskResult",
     "capture_batch",
-    "segment_name",
-    "shm_available",
 ]

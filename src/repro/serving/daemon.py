@@ -1,30 +1,36 @@
 """``repro serve``: an asyncio daemon in front of a sharded database.
 
-The worker pool makes batch *execution* parallel; this module makes it a
-*service*.  One :class:`ServeDaemon` owns a pool-backed
-:class:`~repro.serving.sharded.ShardedSegmentDatabase` and speaks a tiny
-length-prefixed pickle protocol over TCP:
+One :class:`ServeDaemon` answers whole requests in its own process: it
+owns a :class:`~repro.serving.sharded.ShardedSegmentDatabase` and speaks
+a tiny length-prefixed pickle protocol over TCP.  ``repro serve
+--workers N`` runs N of them behind one port
+(:mod:`repro.serving.prefork`); each then takes its connections from a
+Unix socketpair with the parent (``channel``) instead of listening
+itself.
 
-* **request batching** — concurrent client requests are coalesced (up
-  to ``max_batch`` requests, waiting at most ``batch_window_s`` for
-  stragglers) into one ``query_batch`` call, so the per-batch pool
-  overhead amortizes across clients exactly like it amortizes across
-  queries;
+* **request batching** — the requests already queued when the batcher
+  wakes (up to ``max_batch``) run as one ``query_batch`` call; requests
+  that arrive while a batch runs coalesce into the next one.  Nothing
+  waits for stragglers: a lone request runs at once.  If a coalesced
+  batch raises, its requests run again one at a time, so only the
+  request at fault gets the error;
 * **admission control** — at most ``max_pending`` requests queue; past
   that the daemon answers ``overloaded`` *immediately* instead of
   building an unbounded backlog (the client can retry; the queue can't
   melt);
-* **graceful drain** — SIGTERM/SIGINT stop the listener, every queued
-  request still executes and answers, the worker pool shuts down (which
-  unlinks the shared-memory segments), and the daemon exits 0 with a
-  JSON drain report.
+* **graceful drain** — SIGTERM/SIGINT (or EOF on ``channel``) stop new
+  connections, every queued request still executes and answers, and
+  :meth:`ServeDaemon.run` returns a drain report.
 
 Observability reuses the session's primitives: a
 :class:`~repro.telemetry.MetricsRegistry` holds ``serve.request_s`` /
 ``serve.batch_s`` latency histograms plus request/query/reject counters,
 and batch execution runs under a ``timed_span`` so an installed
 :func:`~repro.telemetry.wall_tracing` tracer sees daemon batches next to
-the pool's dispatch/attach/query spans.
+the shard queries they ran.  The ``stats`` frame returns those metrics
+with the database's ``latency_report()`` and ``io_report()`` and, when
+``--slow-ms`` armed one, its slow-query log: all of them describe the
+process that answered.
 
 Wire format: 4-byte big-endian frame length, then a pickled dict.
 Inbound frames are decoded with the snapshot layer's *restricted*
@@ -35,6 +41,7 @@ unpickler — a network peer gets the same allowlist a snapshot file gets.
 from __future__ import annotations
 
 import asyncio
+import os
 import pickle
 import signal
 import socket
@@ -43,9 +50,8 @@ import threading
 import time
 from random import Random
 from time import perf_counter
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
-from ..core.recovery import DegradedBatch
 from ..iosim import restricted_loads
 from ..telemetry import MetricsRegistry, timed_span
 from .resilience import ServeConnectionError
@@ -53,6 +59,8 @@ from .resilience import ServeConnectionError
 _FRAME = struct.Struct(">I")
 #: Upper bound on one frame; anything larger is damage, not data.
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+#: The signals that make a daemon drain.
+STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
 
 #: ``error_type`` values a daemon error frame may carry, with whether a
 #: retry can help.  ``overloaded``/``draining`` are transient service
@@ -109,25 +117,28 @@ class ServeDaemon:
     """Serve ``db.query_batch`` over TCP with batching and backpressure.
 
     ``db`` is any object with a ``query_batch(queries)`` method — in
-    production a pool-backed sharded database, in tests whatever stub
-    the scenario needs.  ``port=0`` binds an ephemeral port; the bound
-    port is published on :attr:`port` before ``on_ready`` fires.
+    production a sharded database, in tests whatever stub the scenario
+    needs.  ``port=0`` binds an ephemeral port; the bound port is
+    published on :attr:`port` before :attr:`ready` is set.
+
+    With ``channel`` (a Unix socket) the daemon listens on nothing: it
+    serves the connections whose descriptors arrive on ``channel``
+    (``socket.send_fds``, one per message), and EOF on ``channel`` stops
+    it like SIGTERM.  ``host``/``port`` then only label its reports.
     """
 
     def __init__(self, db, host: str = "127.0.0.1", port: int = 0,
                  max_pending: int = 64, max_batch: int = 64,
-                 batch_window_s: float = 0.002,
-                 registry: Optional[MetricsRegistry] = None):
+                 registry: Optional[MetricsRegistry] = None,
+                 channel: Optional[socket.socket] = None):
         if max_pending < 1 or max_batch < 1:
             raise ValueError("max_pending and max_batch must be >= 1")
-        if batch_window_s < 0:
-            raise ValueError("batch_window_s must be >= 0")
         self.db = db
         self.host = host
         self.port = port
         self.max_pending = max_pending
         self.max_batch = max_batch
-        self.batch_window_s = batch_window_s
+        self.channel = channel
         self.registry = registry if registry is not None else MetricsRegistry()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._queue: Optional[asyncio.Queue] = None
@@ -142,9 +153,14 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
-    def run(self, install_signal_handlers: bool = True) -> dict:
-        """Serve until stopped; returns (and stores) the drain report."""
-        return asyncio.run(self._main(install_signal_handlers))
+    def run(self, install_signal_handlers: bool = True,
+            on_ready: Optional[Callable[[], None]] = None) -> dict:
+        """Serve until stopped; returns (and stores) the drain report.
+
+        ``on_ready`` is called on the daemon's loop once it accepts
+        connections (after :attr:`port` is bound).
+        """
+        return asyncio.run(self._main(install_signal_handlers, on_ready))
 
     def request_stop(self) -> None:
         """Ask a running daemon to drain and exit (thread-safe)."""
@@ -152,23 +168,36 @@ class ServeDaemon:
         if loop is not None and stop is not None:
             loop.call_soon_threadsafe(stop.set)
 
-    async def _main(self, install_signal_handlers: bool) -> dict:
+    async def _main(self, install_signal_handlers: bool,
+                    on_ready: Optional[Callable[[], None]]) -> dict:
         self._loop = asyncio.get_running_loop()
         self._queue = asyncio.Queue(maxsize=self.max_pending)
         self._stop = asyncio.Event()
         self._idle = asyncio.Event()
         self._idle.set()
         if install_signal_handlers:
-            for sig in (signal.SIGTERM, signal.SIGINT):
+            for sig in STOP_SIGNALS:
                 try:
                     self._loop.add_signal_handler(sig, self._stop.set)
                 except (NotImplementedError, ValueError,
                         RuntimeError):  # platform or non-main thread
                     pass
-        server = await asyncio.start_server(self._handle, self.host, self.port)
-        self.port = server.sockets[0].getsockname()[1]
+            # A pre-forked child starts with these blocked, so that a
+            # stop sent while it opened its shards is delivered here, to
+            # the handlers above.
+            signal.pthread_sigmask(signal.SIG_UNBLOCK, STOP_SIGNALS)
+        server = None
+        if self.channel is None:
+            server = await asyncio.start_server(self._handle, self.host,
+                                                self.port)
+            self.port = server.sockets[0].getsockname()[1]
+        else:
+            self.channel.setblocking(False)
+            self._loop.add_reader(self.channel.fileno(), self._adopt)
         batcher = asyncio.create_task(self._batcher())
         self.ready.set()
+        if on_ready is not None:
+            on_ready()
         try:
             await self._stop.wait()
         finally:
@@ -176,8 +205,11 @@ class ServeDaemon:
             # already admitted executes AND answers — the idle event only
             # sets once the last in-flight response is on the wire.
             self._draining = True
-            server.close()
-            await server.wait_closed()
+            if server is None:
+                self._loop.remove_reader(self.channel.fileno())
+            else:
+                server.close()
+                await server.wait_closed()
             await self._queue.join()
             await self._idle.wait()
             # Idle keep-alive connections would otherwise park their
@@ -203,7 +235,6 @@ class ServeDaemon:
             "batches": self.registry.counter("serve.batches").value,
             "rejected": self.registry.counter("serve.rejected").value,
             "deadline_expired": self.registry.counter("serve.deadline").value,
-            "degraded_requests": self.registry.counter("serve.degraded").value,
             "request_s": self.registry.latency("serve.request_s").summary(),
             "batch_s": self.registry.latency("serve.batch_s").summary(),
         }
@@ -212,6 +243,32 @@ class ServeDaemon:
     # ------------------------------------------------------------------
     # connection handling
     # ------------------------------------------------------------------
+    def _adopt(self) -> None:
+        """Serve the connections queued on :attr:`channel`; stop on EOF."""
+        while True:
+            try:
+                data, fds, _flags, _addr = socket.recv_fds(self.channel, 1, 1)
+            except BlockingIOError:
+                return
+            except OSError:  # the parent's end was reset
+                data, fds = b"", []
+            for fd in fds:
+                self._handlers.add(asyncio.ensure_future(self._serve_fd(fd)))
+            if not data:  # the parent is gone: drain and exit
+                self._loop.remove_reader(self.channel.fileno())
+                self._stop.set()
+                return
+
+    async def _serve_fd(self, fd: int) -> None:
+        sock = socket.socket(fileno=fd)
+        try:
+            reader, writer = await asyncio.open_connection(sock=sock)
+        except OSError:  # the client hung up before we got to it
+            sock.close()
+            self._handlers.discard(asyncio.current_task())
+            return
+        await self._handle(reader, writer)
+
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
@@ -263,6 +320,12 @@ class ServeDaemon:
             latency = getattr(self.db, "latency_report", None)
             if callable(latency):
                 stats["latency"] = latency()
+            io = getattr(self.db, "io_report", None)
+            if callable(io):
+                stats["io"] = io()
+            slow_log = getattr(self.db, "slow_log", None)
+            if slow_log is not None:
+                stats["slow_queries"] = slow_log.to_dict()
             return {"ok": True, "stats": stats}
         if kind != "query":
             return _error("bad-request", f"unknown request kind {kind!r}")
@@ -274,7 +337,11 @@ class ServeDaemon:
             return _error("bad-request",
                           f"timeout_ms must be a positive number, "
                           f"got {timeout_ms!r}")
-        queries = request.get("queries") or []
+        queries = request.get("queries", [])
+        if not isinstance(queries, (list, tuple)):
+            return _error("bad-request",
+                          f"queries must be a list, got "
+                          f"{type(queries).__name__}")
         self.registry.counter("serve.requests").inc()
         self.registry.counter("serve.queries").inc(len(queries))
         if not queries:
@@ -304,17 +371,14 @@ class ServeDaemon:
         except Exception as exc:
             return _error("internal", f"query failed: {exc}")
         self.registry.latency("serve.request_s").observe(perf_counter() - t0)
-        response = {"ok": True, "results": results}
-        if getattr(results, "degraded", False):
-            response["degraded"] = True
-            response["coverage"] = results.shard_coverage
-        return response
+        return {"ok": True, "results": results}
 
     def _health(self) -> dict:
         """The ``health`` frame: daemon liveness plus, when the database
-        exposes one, its ``health_report()`` (pool workers, breakers,
-        degradation counters)."""
+        exposes one, its ``health_report()``.  ``pid`` names the process
+        that answered, one of several under ``repro serve --workers N``."""
         health = {
+            "pid": os.getpid(),
             "draining": self._draining,
             "inflight": self._inflight,
             "pending": self._queue.qsize() if self._queue is not None else 0,
@@ -322,7 +386,6 @@ class ServeDaemon:
             "requests": self.registry.counter("serve.requests").value,
             "rejected": self.registry.counter("serve.rejected").value,
             "deadline_expired": self.registry.counter("serve.deadline").value,
-            "degraded_requests": self.registry.counter("serve.degraded").value,
         }
         db_health = getattr(self.db, "health_report", None)
         if callable(db_health):
@@ -333,64 +396,56 @@ class ServeDaemon:
     # batching
     # ------------------------------------------------------------------
     async def _batcher(self) -> None:
-        """Pull admitted requests, coalesce, execute, scatter back."""
+        """Run whatever is queued as one batch, and scatter back."""
         while True:
             batch = [await self._queue.get()]
-            deadline = self._loop.time() + self.batch_window_s
-            while len(batch) < self.max_batch:
-                remaining = deadline - self._loop.time()
-                if remaining <= 0 and self.batch_window_s > 0:
-                    break
-                try:
-                    if self.batch_window_s > 0:
-                        batch.append(await asyncio.wait_for(
-                            self._queue.get(), timeout=max(remaining, 0)))
-                    else:
-                        batch.append(self._queue.get_nowait())
-                except (asyncio.TimeoutError, asyncio.QueueEmpty):
-                    break
+            while len(batch) < self.max_batch and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             await self._execute(batch)
 
     async def _execute(self, batch: List) -> None:
-        flat: List = []
-        bounds: List[int] = []
-        for queries, _future in batch:
-            flat.extend(queries)
-            bounds.append(len(flat))
+        requests = [queries for queries, _future in batch]
         t0 = perf_counter()
         try:
             with timed_span("serve.batch", category="daemon",
-                            requests=len(batch), queries=len(flat)):
-                results = await self._loop.run_in_executor(
-                    None, self.db.query_batch, flat)
-        except Exception as exc:
-            for _queries, future in batch:
-                if not future.done():
-                    future.set_exception(
-                        RuntimeError(str(exc) or type(exc).__name__))
-            return
+                            requests=len(batch),
+                            queries=sum(map(len, requests))):
+                outcomes = await self._loop.run_in_executor(
+                    None, self._answer, requests)
         finally:
             self.registry.latency("serve.batch_s").observe(
                 perf_counter() - t0)
             self.registry.counter("serve.batches").inc()
             for _item in batch:
                 self._queue.task_done()
-        start = 0
-        degraded = getattr(results, "degraded", False)
-        for (_queries, future), end in zip(batch, bounds):
-            if not future.done():
-                chunk = results[start:end]
-                if degraded:
-                    # Slicing a DegradedBatch yields a plain list; re-wrap
-                    # so every request in a shard-lossy coalesced batch
-                    # carries the coverage map (the map describes the
-                    # whole serving batch, a superset of what any single
-                    # request routed to).
-                    chunk = DegradedBatch(chunk, results.shard_coverage,
-                                          results.reason)
-                    self.registry.counter("serve.degraded").inc()
-                future.set_result(chunk)
-            start = end
+        for (_queries, future), outcome in zip(batch, outcomes):
+            if future.done():  # its deadline expired
+                continue
+            if isinstance(outcome, Exception):
+                future.set_exception(outcome)
+            else:
+                future.set_result(outcome)
+
+    def _answer(self, requests: List[list]) -> List:
+        """Each request's results, or the exception it failed with.
+
+        The requests run as one ``query_batch``.  If that raises, each
+        runs again alone, so that a malformed request fails by itself
+        instead of failing the requests it was coalesced with; queries
+        are reads, so running one twice is safe.
+        """
+        flat = [q for queries in requests for q in queries]
+        try:
+            results = self.db.query_batch(flat)
+        except Exception as exc:
+            if len(requests) == 1:
+                return [RuntimeError(str(exc) or type(exc).__name__)]
+            return [self._answer([queries])[0] for queries in requests]
+        out, start = [], 0
+        for queries in requests:
+            out.append(results[start:start + len(queries)])
+            start += len(queries)
+        return out
 
 
 class ServeClient:
@@ -424,6 +479,8 @@ class ServeClient:
             request_timeout = timeout
         if retries < 0:
             raise ValueError("retries must be >= 0")
+        if retry_backoff_s < 0:
+            raise ValueError("retry_backoff_s must be >= 0")
         self.host = host
         self.port = port
         self.connect_timeout = connect_timeout

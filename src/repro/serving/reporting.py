@@ -1,16 +1,12 @@
-"""Per-batch shard telemetry deltas that survive the process boundary.
+"""Per-batch shard telemetry deltas, mergeable across batches.
 
-PR 5's workers shipped back only the raw :class:`~repro.iosim.IOStats`
-diff, so the parent's ``io_report()`` lost everything the per-shard
-``SegmentDatabase.io_report()`` knows — buffer hits, filtered-arithmetic
-counters, fault/retry counters, degradation state.  This module fixes
-the merge by construction: :func:`capture_batch` wraps one shard batch
-(in a worker *or* in the synchronous path — the same code runs in both)
-and produces a :class:`ShardBatchStats` delta; deltas are picklable,
-add associatively, and render back into the familiar report shape.
-Because both execution back ends capture through the same helper, the
-pooled merged report equals the ``workers=0`` synchronous report field
-for field (pinned by ``tests/serving/test_report_merge.py``).
+The sharded database's ``io_report()`` must carry everything the
+per-shard ``SegmentDatabase.io_report()`` knows — raw I/O, buffer
+hits/misses, filtered-arithmetic counters, fault/retry counters,
+degradation state — summed over the batches each shard served.
+:func:`capture_batch` wraps one shard batch and produces a
+:class:`ShardBatchStats` delta; deltas are picklable, add
+associatively, and render back into the familiar report shape.
 """
 
 from __future__ import annotations
@@ -57,8 +53,8 @@ class ShardBatchStats:
 
     Everything here is a *difference* over the batch window (except the
     point-in-time fields ``buffer_capacity``/``quarantined``, where the
-    latest observation wins), so per-batch capsules from any number of
-    worker processes sum to what one process would have counted.
+    latest observation wins), so per-batch capsules sum to the counts
+    over the whole run.
     """
 
     io: IOStats = field(default_factory=IOStats)
@@ -120,9 +116,7 @@ def capture_batch(db, fn: Callable[[], object]) -> Tuple[object, ShardBatchStats
     """Run one batch against ``db`` and capture its telemetry delta.
 
     ``db`` is a :class:`~repro.core.api.SegmentDatabase`; ``fn`` performs
-    the batch (query or explain).  The same helper runs inside worker
-    processes and in the synchronous execution path, which is what makes
-    the two back ends' merged reports comparable field for field.
+    the batch (query or explain).
     """
     device = db.device
     before_io = device.snapshot()

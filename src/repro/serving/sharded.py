@@ -27,7 +27,7 @@ from time import perf_counter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.api import ENGINES, SegmentDatabase
-from ..core.recovery import DegradedBatch, DegradedResult
+from ..core.recovery import DegradedResult
 from ..geometry import Segment, VerticalQuery
 from ..iosim import SnapshotFormatError
 from ..telemetry import (
@@ -37,8 +37,6 @@ from ..telemetry import (
     timed_span,
 )
 from .reporting import ShardBatchStats, capture_batch
-from .resilience import RpcChaosSchedule, ShardDownError, SupervisorPolicy
-from .workers import _DEFAULT_SUPERVISOR, ShardWorkerPool
 
 MANIFEST_NAME = "manifest.json"
 MANIFEST_VERSION = 1
@@ -57,53 +55,38 @@ class ShardedSegmentDatabase:
     """K x-range shards behind one query surface.
 
     Build with :meth:`bulk_load`, persist with :meth:`save`, and serve
-    with :meth:`open` — synchronously (``workers=0``, every shard opened
-    in-process) or across a :class:`~repro.serving.workers.ShardWorkerPool`
-    (``workers>0``).  Both paths share the routing and merge code, so
-    their results are identical query for query.
+    with :meth:`open`.  Every shard lives in this process; to answer from
+    several processes, run ``repro serve --workers N``, which opens one
+    copy of the whole database per process (DESIGN.md §13).
     """
 
     def __init__(
         self,
         engine: str,
         boundaries: Sequence,
-        shards: Optional[List[SegmentDatabase]] = None,
-        pool: Optional[ShardWorkerPool] = None,
+        shards: List[SegmentDatabase],
         segment_count: int = 0,
         replicated: int = 0,
     ):
-        if (shards is None) == (pool is None):
-            raise ValueError("exactly one of shards / pool must be given")
         self.engine_name = engine
         self.boundaries = list(boundaries)  # interior cuts, ascending
-        self.shard_count = (len(shards) if shards is not None
-                            else len(pool._paths))
+        self.shard_count = len(shards)
         if len(self.boundaries) != self.shard_count - 1:
             raise ValueError(
                 f"{self.shard_count} shards need {self.shard_count - 1} "
                 f"interior boundaries, got {len(self.boundaries)}"
             )
         self._shards = shards
-        self._pool = pool
         self.segment_count = segment_count
         self.replicated = replicated
-        # Telemetry deltas accumulate per shard in *both* execution
-        # modes through the same capture helper, so the pooled merged
-        # report equals the synchronous one field for field.
+        # Per-shard telemetry deltas, captured around every sub-batch.
         self._shard_stats = [ShardBatchStats() for _ in range(self.shard_count)]
-        # Wall-clock observability: per-batch latency histogram, phase
-        # decomposition totals (dispatch/deserialize/attach/query/
-        # serialize/collect in pool mode, query in sync mode), and the
-        # parent-observed task wall those phases must sum to.
+        # Wall-clock observability: per-batch latency histogram, and the
+        # count and wall time of the shard sub-batches.
         self.batch_latency = LatencyHistogram("serve.batch_s")
-        self._phase_seconds: Dict[str, float] = {}
         self._task_wall_s = 0.0
         self._tasks = 0
         self.slow_log: Optional[SlowQueryLog] = None
-        # Degradation bookkeeping: batches that lost at least one shard
-        # and the individual queries served with partial coverage.
-        self.degraded_batches = 0
-        self.degraded_queries = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -187,73 +170,43 @@ class ShardedSegmentDatabase:
         return self.query_batch([q])[0]
 
     def query_batch(
-        self, queries: Sequence[VerticalQuery], degrade: bool = True
+        self, queries: Sequence[VerticalQuery]
     ) -> List[List[Segment]]:
         """Route, execute per shard, and merge back into input order.
 
         Replicated boundary-crossers are deduplicated by label during the
         merge (ascending shard order, first occurrence wins), so results
-        match an unsharded database up to ordering within a query.
-
-        When a supervised pool reports shards down (retries exhausted or
-        circuit open) and ``degrade`` is true, the batch is still
-        answered: queries routed to a dead shard come back as
-        :class:`~repro.core.recovery.DegradedResult` entries holding
-        what the live shards contributed, and the batch itself is a
-        :class:`~repro.core.recovery.DegradedBatch` whose
-        ``shard_coverage`` names exactly which routed shards served.
-        A fault-free batch returns a plain list — bit-identical to the
-        unsupervised result.  ``degrade=False`` raises
-        :class:`~repro.serving.resilience.ShardDownError` instead.
+        match an unsharded database up to ordering within a query.  A
+        merged answer stays a :class:`~repro.core.recovery.DegradedResult`
+        when any shard served its part degraded.
         """
         queries = list(queries)
         if not queries:
             return []
         t0 = perf_counter()
         batches, routes = self._route(queries)
-        executed, failures = self._execute_query_batches(batches)
-        if failures and not degrade:
-            raise ShardDownError(failures)
+        executed = self._execute(batches, explain=False)
         out: List[List[Segment]] = []
-        degraded = 0
-        for pos, q in enumerate(queries):
-            hit = routes[pos]
-            down = [index for index, _ in hit if index in failures]
-            if not down and len(hit) == 1:
+        for hit in routes:
+            if len(hit) == 1:
                 index, offset = hit[0]
                 out.append(executed[index][offset])
                 continue
             seen = set()
             merged: List[Segment] = []
+            reasons = []
             for index, offset in hit:
-                if index in failures:
-                    continue
-                for s in executed[index][offset]:
+                part = executed[index][offset]
+                if getattr(part, "degraded", False):
+                    reasons.append(f"shard {index}: {part.reason}")
+                for s in part:
                     if s.label not in seen:
                         seen.add(s.label)
                         merged.append(s)
-            if down:
-                reason = "; ".join(f"shard {index}: {failures[index][0]}"
-                                   for index in down)
-                out.append(DegradedResult(merged, reason=reason,
-                                          source="shard-down"))
-                degraded += 1
-            else:
-                out.append(merged)
+            out.append(DegradedResult(merged, reason="; ".join(reasons))
+                       if reasons else merged)
         self.batch_latency.observe(perf_counter() - t0)
-        if not failures:
-            return out
-        routed = sorted({index for hit in routes for index, _ in hit})
-        coverage = {
-            index: ("ok" if index not in failures
-                    else f"down: {failures[index][0]}: {failures[index][1]}")
-            for index in routed
-        }
-        self.degraded_batches += 1
-        self.degraded_queries += degraded
-        summary = (f"{len(failures)} of {len(routed)} routed shards down "
-                   f"({degraded} of {len(queries)} queries degraded)")
-        return DegradedBatch(out, coverage, summary)
+        return out
 
     def explain_batch(
         self, queries: Sequence[VerticalQuery]
@@ -266,11 +219,7 @@ class ShardedSegmentDatabase:
         if not queries:
             return []
         batches, _routes = self._route(queries)
-        reports, failures = self._execute(batches, explain=True)
-        if failures:
-            # Explain is a diagnostic: a partial anatomy would silently
-            # under-report the batch's cost, so shard loss raises.
-            raise ShardDownError(failures)
+        reports = self._execute(batches, explain=True)
         out = []
         for index in sorted(reports):
             report = reports[index]
@@ -298,62 +247,27 @@ class ShardedSegmentDatabase:
         return batches, routes
 
     # ------------------------------------------------------------------
-    # execution back ends (synchronous vs worker pool)
+    # execution
     # ------------------------------------------------------------------
-    def _execute_query_batches(
-        self, batches: Dict[int, List[VerticalQuery]]
-    ) -> Tuple[Dict[int, List[List[Segment]]], Dict[int, Tuple[str, str]]]:
-        return self._execute(batches, explain=False)
-
     def _execute(self, batches: Dict[int, List[VerticalQuery]],
-                 explain: bool) -> Tuple[Dict, Dict[int, Tuple[str, str]]]:
-        """Run per-shard sub-batches on the active back end.
-
-        Both back ends capture the same :class:`ShardBatchStats` delta
-        per sub-batch and feed the same phase/latency accumulators, so
-        every report this class renders is back-end-agnostic.  Returns
-        the per-shard results plus ``{shard: (kind, reason)}`` for the
-        shards a supervised pool could not serve (always empty in
-        synchronous mode, where there is no process to lose).
-        """
+                 explain: bool) -> Dict[int, list]:
+        """Run each shard's sub-batch, capturing its telemetry delta and
+        its wall time as the shard's ``query`` phase."""
         out = {}
-        failures: Dict[int, Tuple[str, str]] = {}
-        if self._pool is None:
-            for index, queries in batches.items():
-                db = self._shards[index]
-                runner = db.explain_batch if explain else db.query_batch
-                t0 = perf_counter()
-                with timed_span("query", category="engine", shard=index,
-                                queries=len(queries)):
-                    result, stats = capture_batch(db, lambda: runner(queries))
-                elapsed = perf_counter() - t0
-                self._shard_stats[index] = self._shard_stats[index] + stats
-                self._note_task({"query": elapsed}, elapsed)
-                if db.slow_log is not None and self.slow_log is not None:
-                    self.slow_log.absorb(db.slow_log.drain())
-                out[index] = result
-            return out, failures
-        gather = (self._pool.explain_batches if explain
-                  else self._pool.query_batches)
-        for index, task in gather(batches).items():
-            if not task.ok:
-                failures[index] = (task.failure,
-                                   task.error or task.failure)
-                continue
-            self._shard_stats[index] = self._shard_stats[index] + task.stats
-            self._note_task(task.phases, task.wall_s)
-            if self.slow_log is not None and task.slow_log:
-                self.slow_log.absorb(task.slow_log)
-            out[index] = task.payload
-        return out, failures
-
-    def _note_task(self, phases: Dict[str, float], wall_s: float) -> None:
-        for name, seconds in phases.items():
-            self._phase_seconds[name] = (
-                self._phase_seconds.get(name, 0.0) + seconds
-            )
-        self._task_wall_s += wall_s
-        self._tasks += 1
+        for index, queries in batches.items():
+            db = self._shards[index]
+            runner = db.explain_batch if explain else db.query_batch
+            t0 = perf_counter()
+            with timed_span("query", category="engine", shard=index,
+                            queries=len(queries)):
+                result, stats = capture_batch(db, lambda: runner(queries))
+            self._task_wall_s += perf_counter() - t0
+            self._tasks += 1
+            self._shard_stats[index] = self._shard_stats[index] + stats
+            if db.slow_log is not None and self.slow_log is not None:
+                self.slow_log.absorb(db.slow_log.drain())
+            out[index] = result
+        return out
 
     # ------------------------------------------------------------------
     # telemetry
@@ -364,10 +278,9 @@ class ShardedSegmentDatabase:
         Each shard entry carries the full counter family the flat
         :meth:`~repro.core.api.SegmentDatabase.io_report` knows — raw
         I/O, buffer hits/misses, filtered-arithmetic counters, fault
-        deltas, degradation state — accumulated through the *same*
-        capture helper in both execution modes, so a pooled report
-        equals the ``workers=0`` synchronous report field for field and
-        the combined block equals the sum of the shard blocks.
+        deltas, degradation state — accumulated batch by batch through
+        :func:`~repro.serving.reporting.capture_batch`, and the combined
+        block equals the sum of the shard blocks.
         """
         per_shard = list(self._shard_stats)
         combined = ShardBatchStats()
@@ -381,54 +294,43 @@ class ShardedSegmentDatabase:
     def latency_report(self) -> dict:
         """Wall-clock anatomy of the serving work done so far.
 
-        ``phases_s`` decomposes task time into the cross-process phases
-        (pool mode: dispatch/deserialize/attach/query/serialize/collect;
-        synchronous mode: query only); ``task_wall_s`` is the parent-
-        observed wall-clock those phases must explain, and
-        ``phase_coverage`` is their ratio — the E17 acceptance pins it
-        within 10% of 1.  ``batches`` summarizes the per-call latency
+        ``tasks`` counts shard sub-batches and ``task_wall_s`` the wall
+        time they took.  In one process a task is all engine ``query``
+        work, so ``phases_s`` holds that one phase and ``phase_coverage``
+        is 1; the keys keep the shape readers of the daemon's ``stats``
+        frame expect.  ``batches`` summarizes the per-call latency
         histogram (p50/p95/p99).
         """
-        phase_sum = sum(self._phase_seconds.values())
+        wall = round(self._task_wall_s, 6)
         return {
             "tasks": self._tasks,
-            "phases_s": {name: round(seconds, 6)
-                         for name, seconds in sorted(self._phase_seconds.items())},
-            "phase_sum_s": round(phase_sum, 6),
-            "task_wall_s": round(self._task_wall_s, 6),
-            "phase_coverage": (round(phase_sum / self._task_wall_s, 4)
-                               if self._task_wall_s else None),
+            "phases_s": {"query": wall} if self._tasks else {},
+            "phase_sum_s": wall,
+            "task_wall_s": wall,
+            "phase_coverage": 1.0 if self._task_wall_s else None,
             "batches": self.batch_latency.summary(),
         }
 
     def health_report(self) -> dict:
-        """Serving health: execution mode, degradation counters, and (in
-        pool mode) worker liveness, respawn counts, and breaker states —
-        the payload behind the daemon's ``health`` frame."""
-        report = {
-            "mode": "pool" if self._pool is not None else "sync",
+        """Serving health, the payload behind the daemon's ``health``
+        frame: the shard count and which shards are quarantined (their
+        answers come from the scan fallback, as ``DegradedResult``)."""
+        return {
             "shards": self.shard_count,
-            "degraded_batches": self.degraded_batches,
-            "degraded_queries": self.degraded_queries,
+            "quarantined": [index for index, db in enumerate(self._shards)
+                            if db.quarantined],
         }
-        if self._pool is not None:
-            report["pool"] = self._pool.health()
-        return report
 
     def enable_slow_query_log(self, threshold_s: float,
                               capacity: int = 128) -> SlowQueryLog:
         """Start logging slow shard batches; returns the merged log.
 
-        Synchronous mode enables a log on every shard database and
-        drains them into the merged log after each batch.  In pool mode
-        the worker-side logs are configured at :meth:`open` time (pass
-        ``slow_query_s``); this call then only (re)creates the parent
-        log that absorbs what workers ship back.
+        Enables a log on every shard database and drains them into the
+        merged log after each batch.
         """
         self.slow_log = SlowQueryLog(threshold_s, capacity)
-        if self._shards is not None:
-            for db in self._shards:
-                db.enable_slow_query_log(threshold_s, capacity)
+        for db in self._shards:
+            db.enable_slow_query_log(threshold_s, capacity)
         return self.slow_log
 
     def __len__(self) -> int:
@@ -441,12 +343,7 @@ class ShardedSegmentDatabase:
         """Write one snapshot per shard plus a manifest into ``directory``.
 
         Returns the manifest dict (paths relative to the directory).
-        Only a synchronously held database can save — in pool mode the
-        page stores live in the workers.
         """
-        if self._shards is None:
-            raise ValueError("cannot save a pool-backed sharded database; "
-                             "save before open(workers=...)")
         os.makedirs(directory, exist_ok=True)
         shard_files = []
         for index, db in enumerate(self._shards):
@@ -474,27 +371,21 @@ class ShardedSegmentDatabase:
         workers: int = 0,
         buffer_pages: Optional[int] = None,
         slow_query_s: Optional[float] = None,
-        transport: str = "shm",
-        cache_pages: Optional[int] = None,
-        supervisor: Optional[SupervisorPolicy] = _DEFAULT_SUPERVISOR,
-        chaos: Optional[RpcChaosSchedule] = None,
     ) -> "ShardedSegmentDatabase":
-        """Restore a sharded database saved by :meth:`save`.
+        """Restore a sharded database saved by :meth:`save`, every shard
+        opened in this process.
 
-        ``workers=0`` opens every shard in this process; ``workers>0``
-        hands the snapshot paths to a
-        :class:`~repro.serving.workers.ShardWorkerPool` and shards are
-        attached (once each) inside the worker processes instead —
-        zero-copy out of shared memory on ``transport="shm"`` (the
-        default; ``cache_pages`` bounds each worker's decoded-page LRU),
-        or by per-process snapshot open on ``transport="pickle"``.
-        ``slow_query_s`` arms a slow-query log at that threshold on
-        every shard (worker-side in pool mode, entries shipped back with
-        each batch) merged into ``self.slow_log``.  ``supervisor`` and
-        ``chaos`` forward to the pool: supervision is on by default
-        (worker death degrades instead of raising); pass
-        ``supervisor=None`` for the legacy raise-through surface.
+        ``workers`` must be 0: to answer from several processes, run
+        ``repro serve DIR --workers N``, which forks N processes that
+        each open the directory this way.  ``slow_query_s`` arms a
+        slow-query log at that threshold on every shard, merged into
+        ``self.slow_log``.
         """
+        if workers:
+            raise ValueError(
+                f"workers={workers}: a sharded database answers in the "
+                f"process that opens it; serve from several processes "
+                f"with `repro serve DIR --workers N`")
         manifest_path = os.path.join(directory, MANIFEST_NAME)
         try:
             with open(manifest_path) as fh:
@@ -512,35 +403,12 @@ class ShardedSegmentDatabase:
                 f"(expected {MANIFEST_VERSION})",
             )
         boundaries = [_boundary_from_str(b) for b in manifest["boundaries"]]
-        paths = [os.path.join(directory, name)
-                 for name in manifest["shard_files"]]
-        if workers > 0:
-            pool = ShardWorkerPool(paths, workers, buffer_pages=buffer_pages,
-                                   slow_query_s=slow_query_s,
-                                   transport=transport,
-                                   cache_pages=cache_pages,
-                                   supervisor=supervisor,
-                                   chaos=chaos)
-            db = cls(manifest["engine"], boundaries, pool=pool,
-                     segment_count=manifest["segment_count"],
-                     replicated=manifest["replicated"])
-        else:
-            shards = [SegmentDatabase.open(path, buffer_pages=buffer_pages)
-                      for path in paths]
-            db = cls(manifest["engine"], boundaries, shards=shards,
-                     segment_count=manifest["segment_count"],
-                     replicated=manifest["replicated"])
+        shards = [SegmentDatabase.open(os.path.join(directory, name),
+                                       buffer_pages=buffer_pages)
+                  for name in manifest["shard_files"]]
+        db = cls(manifest["engine"], boundaries, shards,
+                 segment_count=manifest["segment_count"],
+                 replicated=manifest["replicated"])
         if slow_query_s is not None:
             db.enable_slow_query_log(slow_query_s)
         return db
-
-    def close(self) -> None:
-        """Shut the worker pool down (no-op in synchronous mode)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-
-    def __enter__(self) -> "ShardedSegmentDatabase":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()

@@ -5,10 +5,9 @@ Trace Event Format consumed by ``chrome://tracing``, Perfetto
 (https://ui.perfetto.dev) and Speedscope: a JSON object with a
 ``traceEvents`` array of complete ("ph": "X") events, timestamps and
 durations in *microseconds*, grouped by pid/tid lanes.  Process
-metadata events name each lane so a multi-process serving run reads as
-``parent`` plus one ``worker`` row per pool process, making dispatch,
-pickle and cold-attach costs visible as gaps and blocks on one shared
-time axis.
+metadata events name each lane, so spans from several processes read as
+``parent`` plus one ``worker-<pid>`` row per other process, on one
+shared time axis.
 
 The exporter is pure data-in/data-out (no I/O beyond
 :func:`write_chrome_trace`), so tests can validate the schema directly.

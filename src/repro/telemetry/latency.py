@@ -6,9 +6,9 @@ daemon observing millions of wall-clock samples.  This module adds the
 serving-grade variant: a histogram over *log-spaced* buckets whose
 memory is bounded by the bucket count regardless of how many samples it
 absorbs, whose quantiles carry a guaranteed relative error bound, and
-whose merge is associative and commutative — so per-worker histograms
-shipped across process boundaries combine into exactly the histogram a
-single process would have built.
+whose merge is associative and commutative — so histograms recorded in
+different processes combine into exactly the histogram a single process
+would have built.
 
 Design (the HdrHistogram/DDSketch family, reduced to its core):
 

@@ -7,9 +7,8 @@ captures the query, the latency, and a cost breakdown (the ``explain()``
 anatomy when the caller can produce one), in a bounded ring buffer so a
 long-running server cannot grow it without limit.
 
-Entries are plain dicts so they pickle across the worker boundary: the
-sharded serving paths run shard-local logs inside worker processes and
-ship fresh entries back to the parent with each batch's results.
+Entries are plain dicts, so logs merge: the sharded database runs one
+log per shard and drains each into its merged log after every batch.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class SlowQueryLog:
         return entry
 
     def absorb(self, entries: List[dict]) -> None:
-        """Adopt entries shipped back from a worker-side log."""
+        """Adopt entries drained from another log (a shard's)."""
         for entry in entries:
             if len(self._entries) == self.capacity:
                 self.dropped += 1
@@ -91,7 +90,8 @@ class SlowQueryLog:
         return list(self._entries)
 
     def drain(self) -> List[dict]:
-        """Return and clear the buffered entries (the worker ship-back)."""
+        """Return and clear the buffered entries (what a merging log
+        absorbs)."""
         out = list(self._entries)
         self._entries.clear()
         return out

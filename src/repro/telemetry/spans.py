@@ -1,11 +1,10 @@
-"""Wall-clock spans with cross-process trace propagation.
+"""Wall-clock spans with trace propagation.
 
 :mod:`repro.telemetry.trace` deliberately measures *simulated I/Os* and
-nothing else — reproducible, but blind to where real time goes.  The E17
-serving cliff (a process pool far slower than the synchronous path) is a
-wall-clock phenomenon: time spent pickling batches, dispatching tasks and
-cold-loading snapshots inside workers never shows up in an I/O count.
-This module is the latency-domain twin of the I/O tracer:
+nothing else — reproducible, but blind to where real time goes.  Time
+spent pickling answers, waiting in a queue or loading snapshots never
+shows up in an I/O count.  This module is the latency-domain twin of the
+I/O tracer:
 
 * a :class:`SpanRecord` is one timed interval — name, wall-clock start
   and duration, the process/thread that ran it, and the ``trace_id`` of
@@ -14,10 +13,10 @@ This module is the latency-domain twin of the I/O tracer:
   :func:`timed_span` hook records into the installed tracer and is a
   no-op when none is installed (same zero-cost-off contract as the I/O
   tracer);
-* a :class:`SpanContext` is the picklable capsule a parent sends across
-  a process boundary; the worker opens its own tracer *continuing the
-  parent's trace id*, and ships its records back with the results, so the
-  parent reassembles one coherent multi-process timeline.
+* a :class:`SpanContext` is the picklable capsule sent across a process
+  or wire hop; the receiver opens its own tracer *continuing the
+  sender's trace id*, and its records can be adopted back
+  (:meth:`WallTracer.extend`) into one coherent multi-process timeline.
 
 Timestamps are ``time.time()`` (shared epoch clock) so spans from
 different processes on the same host line up on one axis; durations are
@@ -96,7 +95,8 @@ class SpanRecord:
 
 
 class SpanContext:
-    """The picklable trace coordinates handed to a worker process."""
+    """The picklable trace coordinates handed across a process or wire
+    hop."""
 
     __slots__ = ("trace_id", "parent_id")
 
@@ -126,9 +126,9 @@ class WallTracer:
     """Collects :class:`SpanRecord` objects for one process.
 
     A tracer carries one ``trace_id``; spans opened through it nest via
-    an explicit stack so each record knows its parent.  Records shipped
-    back from workers are adopted with :meth:`extend` — a worker span
-    created from this tracer's :meth:`context` carries the same trace id,
+    an explicit stack so each record knows its parent.  Records recorded
+    in another process are adopted with :meth:`extend` — a span created
+    there from this tracer's :meth:`context` carries the same trace id,
     which is what the propagation tests pin.
     """
 
@@ -169,7 +169,7 @@ class WallTracer:
         return record
 
     def extend(self, records: List[dict]) -> None:
-        """Adopt serialized span records shipped back from a worker."""
+        """Adopt serialized span records recorded in another process."""
         for data in records:
             self.records.append(SpanRecord.from_dict(data))
 
@@ -177,7 +177,7 @@ class WallTracer:
     # propagation
     # ------------------------------------------------------------------
     def context(self) -> SpanContext:
-        """The capsule to pickle into a worker task."""
+        """The capsule to send with work another process continues."""
         return SpanContext(self.trace_id, self._parent_stack[-1])
 
     # ------------------------------------------------------------------

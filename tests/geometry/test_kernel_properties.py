@@ -13,8 +13,6 @@ the query bounds exactly (true sign-0 decisions — the forced exact
 fallbacks), and huge coordinates whose float images lose precision.
 """
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st

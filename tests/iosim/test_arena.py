@@ -1,10 +1,9 @@
-"""Tests for the flat page arena: layout, typed failure modes, and the
-lazy ArenaBlockDevice consumer.
+"""Tests for the flat page arena: layout and typed failure modes.
 
-These exercise :class:`ArenaView` directly on raw bytes — the situation
-a shared-memory worker is in, where no file CRC stands between the
-buffer and the parser, so every malformed input must raise a typed
-:class:`SnapshotFormatError` rather than a bare struct/pickle error.
+These exercise :class:`ArenaView` directly on raw bytes, with no file
+CRC between the buffer and the parser, so every malformed input must
+raise a typed :class:`SnapshotFormatError` rather than a bare
+struct/pickle error.
 """
 
 import importlib
@@ -15,10 +14,8 @@ import pytest
 
 from repro.iosim import (
     ARENA_VERSION,
-    ArenaBlockDevice,
     ArenaView,
     BlockDevice,
-    DanglingPageError,
     SnapshotFormatError,
     build_arena,
 )
@@ -61,7 +58,7 @@ def test_build_and_materialize_round_trip():
 
 def test_arena_bytes_are_deterministic():
     """Same device → same bytes: the arena is a pure function of content,
-    so shard fingerprints and shm segment reuse are stable."""
+    so shard fingerprints are stable."""
     d1, a1 = make_arena()
     d2, a2 = make_arena()
     assert a1 == a2
@@ -69,8 +66,8 @@ def test_arena_bytes_are_deterministic():
 
 def test_view_over_memoryview_slices_zero_copy():
     _device, arena = make_arena()
-    buf = memoryview(bytearray(arena))  # as in a shared-memory segment
-    view = ArenaView(buf, source="shm://test")
+    buf = memoryview(bytearray(arena))
+    view = ArenaView(buf, source="memory://test")
     page = view.decode_page(view.page_ids[0])
     assert page.items
     view.release()
@@ -78,8 +75,8 @@ def test_view_over_memoryview_slices_zero_copy():
 
 
 def test_attach_is_lazy_about_meta():
-    """Constructing a view never touches the meta blob (workers that only
-    decode pages must not pay for — or trip over — metadata)."""
+    """Constructing a view never touches the meta blob (a reader that
+    only decodes pages must not pay for — or trip over — metadata)."""
     _device, arena = make_arena()
     view = ArenaView(arena)
     assert view._meta is None
@@ -234,86 +231,3 @@ def test_undecodable_meta():
     view = ArenaView(bytes(blob))
     with pytest.raises(SnapshotFormatError, match="undecodable arena metadata"):
         view.meta
-
-
-# ----------------------------------------------------------------------
-# lazy device
-# ----------------------------------------------------------------------
-def test_lazy_device_matches_eager_io_accounting():
-    device, arena = make_arena()
-    lazy = ArenaBlockDevice(ArenaView(arena))
-    eager = ArenaView(arena).materialize()
-    assert lazy.pages_in_use == eager.pages_in_use
-    for pid in sorted(eager._pages):
-        a, b = lazy.read(pid), eager.read(pid)
-        assert a.items == b.items and a.header == b.header
-    assert lazy.snapshot() == eager.snapshot()
-    # Re-reads hit the decoded cache: decode count stays put.
-    decodes = lazy.decodes
-    lazy.read(sorted(eager._pages)[0])
-    assert lazy.decodes == decodes
-
-
-def test_lazy_device_decodes_on_demand_only():
-    _device, arena = make_arena(pages=6)
-    lazy = ArenaBlockDevice(ArenaView(arena))
-    assert lazy.resident_pages == 0
-    lazy.read(lazy._view.page_ids[0])
-    assert lazy.resident_pages == 1
-    assert lazy.decodes == 1
-
-
-def test_lru_eviction_bounded_and_redecodable():
-    _device, arena = make_arena(pages=6)
-    lazy = ArenaBlockDevice(ArenaView(arena), cache_pages=2)
-    ids = lazy._view.page_ids
-    for pid in ids:
-        lazy.read(pid)
-    assert lazy.resident_pages <= 2
-    assert lazy.evictions == len(ids) - 2
-    # An evicted page transparently re-decodes with identical content.
-    first = lazy.read(ids[0])
-    assert first.items == ArenaView(arena).decode_page(ids[0]).items
-
-
-def test_dirty_pages_are_pinned():
-    _device, arena = make_arena(pages=6)
-    lazy = ArenaBlockDevice(ArenaView(arena), cache_pages=1)
-    ids = lazy._view.page_ids
-    victim = lazy.read(ids[0])
-    victim.items = [("mutated",)]
-    lazy.write(victim)
-    for pid in ids[1:]:  # pressure the LRU hard
-        lazy.read(pid)
-    assert lazy.read(ids[0]).items == [("mutated",)], "dirty page was evicted"
-
-
-def test_alloc_and_free_on_lazy_device():
-    _device, arena = make_arena()
-    lazy = ArenaBlockDevice(ArenaView(arena))
-    before = lazy.pages_in_use
-    page = lazy.alloc()
-    assert page.page_id not in lazy._view._entries
-    assert lazy.pages_in_use == before + 1
-    # Freeing a never-decoded page skips the decode entirely.
-    cold = lazy._view.page_ids[0]
-    decodes = lazy.decodes
-    lazy.free(cold)
-    assert lazy.decodes == decodes
-    assert lazy.pages_in_use == before
-    with pytest.raises(DanglingPageError):
-        lazy.read(cold)
-
-
-def test_iter_pages_covers_lazy_without_caching():
-    device, arena = make_arena()
-    lazy = ArenaBlockDevice(ArenaView(arena))
-    seen = {p.page_id: p.items for p in lazy.iter_pages()}
-    assert seen == {pid: p.items for pid, p in device._pages.items()}
-    assert lazy.resident_pages == 0
-
-
-def test_cache_pages_validation():
-    _device, arena = make_arena()
-    with pytest.raises(ValueError, match="cache_pages"):
-        ArenaBlockDevice(ArenaView(arena), cache_pages=0)

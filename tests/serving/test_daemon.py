@@ -3,9 +3,10 @@
 Most tests run the daemon against a stub database in a background
 thread — the contract under test is the service layer (framing,
 coalescing, backpressure, drain), not the engines.  One integration
-test serves a real pool-backed sharded database end-to-end.
+test serves a real sharded database end-to-end.
 """
 
+import os
 import threading
 import time
 
@@ -19,14 +20,21 @@ from tests.hostile import hostile_payloads
 
 
 class EchoDB:
-    """query_batch returns each query doubled; records batch sizes."""
+    """query_batch returns each query doubled; records batch sizes.
+
+    With ``gate``, every batch waits for it: requests sent while the
+    first batch is held queue up, and coalesce into the next batch.
+    ``entered`` is set once a batch has started.
+    """
 
     def __init__(self, delay_s=0.0, gate=None):
         self.batches = []
         self.delay_s = delay_s
         self.gate = gate
+        self.entered = threading.Event()
 
     def query_batch(self, queries):
+        self.entered.set()
         if self.gate is not None:
             self.gate.wait(timeout=10)
         if self.delay_s:
@@ -38,6 +46,17 @@ class EchoDB:
 class FailingDB:
     def query_batch(self, queries):
         raise RuntimeError("engine exploded")
+
+
+class IntsOnlyDB(EchoDB):
+    """An EchoDB whose batch fails whole on any query that is not an int,
+    as a real engine fails on a query that is not a VerticalQuery."""
+
+    def query_batch(self, queries):
+        bad = [q for q in queries if not isinstance(q, int)]
+        if bad:
+            raise TypeError(f"not a query: {bad[0]!r}")
+        return super().query_batch(queries)
 
 
 def _start(daemon):
@@ -52,6 +71,24 @@ def _stop(daemon, thread):
     thread.join(timeout=10)
     assert not thread.is_alive(), "daemon failed to drain"
     return daemon.drain_report
+
+
+def _hold_first_batch(daemon, db, send, behind):
+    """Start ``send(0)``, wait until its batch holds on ``db.gate``, then
+    start ``send(i)`` for each ``i`` in ``behind`` and wait until all of
+    them queue behind it.  Returns the started threads."""
+    threads = [threading.Thread(target=send, args=(0,))]
+    threads[0].start()
+    assert db.entered.wait(timeout=10), "the first batch never started"
+    for i in behind:
+        threads.append(threading.Thread(target=send, args=(i,)))
+        threads[-1].start()
+    with ServeClient(port=daemon.port) as probe:
+        deadline = time.monotonic() + 10
+        while probe.health()["pending"] < len(behind):
+            assert time.monotonic() < deadline, "requests never queued"
+            time.sleep(0.01)
+    return threads
 
 
 def test_query_round_trip_and_drain_report():
@@ -76,8 +113,10 @@ def test_query_round_trip_and_drain_report():
 
 
 def test_concurrent_requests_coalesce_into_batches():
-    db = EchoDB(delay_s=0.01)
-    daemon = ServeDaemon(db, max_batch=8, batch_window_s=0.05)
+    """Requests that arrive while a batch runs coalesce into the next."""
+    gate = threading.Event()
+    db = EchoDB(gate=gate)
+    daemon = ServeDaemon(db, max_batch=8)
     thread = _start(daemon)
     results = {}
 
@@ -86,25 +125,43 @@ def test_concurrent_requests_coalesce_into_batches():
             results[i] = client.query_batch([i, i + 100])
 
     try:
-        clients = [threading.Thread(target=one, args=(i,)) for i in range(6)]
-        for t in clients:
-            t.start()
+        clients = _hold_first_batch(daemon, db, one, range(1, 6))
+        gate.set()
         for t in clients:
             t.join(timeout=10)
     finally:
+        gate.set()
         report = _stop(daemon, thread)
     # Every client got exactly its own slice back, in order.
     for i in range(6):
         assert results[i] == [2 * i, 2 * (i + 100)], i
     # Coalescing happened: fewer engine batches than requests.
     assert report["batches"] < report["requests"] == 6
-    assert sum(db.batches) == 12
+    assert db.batches == [2, 10]
+
+
+def test_lone_request_is_not_held_back():
+    """Nothing waits for stragglers: a lone request spends about its
+    batch's time in the daemon, not that plus a coalescing window."""
+    daemon = ServeDaemon(EchoDB())
+    thread = _start(daemon)
+    try:
+        with ServeClient(port=daemon.port) as client:
+            for i in range(50):
+                assert client.query_batch([i]) == [2 * i]
+            metrics = client.stats()["metrics"]
+    finally:
+        _stop(daemon, thread)
+    request, batch = metrics["serve.request_s"], metrics["serve.batch_s"]
+    assert request["count"] == batch["count"] == 50
+    wait_ms = (request["mean"] - batch["mean"]) * 1e3
+    assert wait_ms < 1.0, f"a lone request waited {wait_ms:.2f} ms"
 
 
 def test_admission_control_rejects_past_max_pending():
     gate = threading.Event()
     db = EchoDB(gate=gate)
-    daemon = ServeDaemon(db, max_pending=1, max_batch=1, batch_window_s=0.0)
+    daemon = ServeDaemon(db, max_pending=1, max_batch=1)
     thread = _start(daemon)
     admitted = []
 
@@ -196,7 +253,7 @@ def test_hostile_frame_is_a_bad_frame_and_never_runs(tmp_path):
 
 def test_drain_finishes_inflight_work():
     db = EchoDB(delay_s=0.2)
-    daemon = ServeDaemon(db, batch_window_s=0.0)
+    daemon = ServeDaemon(db)
     thread = _start(daemon)
     result = {}
 
@@ -218,8 +275,6 @@ def test_validation():
         ServeDaemon(EchoDB(), max_pending=0)
     with pytest.raises(ValueError):
         ServeDaemon(EchoDB(), max_batch=0)
-    with pytest.raises(ValueError):
-        ServeDaemon(EchoDB(), batch_window_s=-1)
 
 
 def test_serves_a_real_sharded_database(tmp_path):
@@ -228,11 +283,8 @@ def test_serves_a_real_sharded_database(tmp_path):
     directory = str(tmp_path / "snap")
     ShardedSegmentDatabase.bulk_load(
         segments, shards=2, block_capacity=16).save(directory)
-    with ShardedSegmentDatabase.open(directory, workers=0) as sync:
-        expected = sync.query_batch(queries)
-    served = ShardedSegmentDatabase.open(directory, workers=1,
-                                         transport="shm")
-    daemon = ServeDaemon(served)
+    expected = ShardedSegmentDatabase.open(directory).query_batch(queries)
+    daemon = ServeDaemon(ShardedSegmentDatabase.open(directory))
     thread = _start(daemon)
     try:
         with ServeClient(port=daemon.port) as client:
@@ -240,17 +292,39 @@ def test_serves_a_real_sharded_database(tmp_path):
             stats = client.stats()
     finally:
         _stop(daemon, thread)
-        served.close()
     assert [sorted(s.label for s in r) for r in got] == \
            [sorted(s.label for s in r) for r in expected]
-    assert "latency" in stats  # the pool's phase decomposition rode along
-    # Answers crossed two pickle hops (worker -> daemon -> client); the
-    # float filter's coefficients must arrive intact, not recomputed or
+    assert stats["latency"]["tasks"] >= 1  # the shard timing rode along
+    # Answers crossed a pickle hop (daemon -> client); the float
+    # filter's coefficients must arrive intact, not recomputed or
     # dropped, so the client's fast path still works on them.
     answers = [s for r in got for s in r]
     assert answers
     for s in answers:
         assert s._fp == segment_fp(s.start.x, s.start.y, s.end.x, s.end.y)
+
+
+def test_degraded_answer_of_a_quarantined_index_crosses_the_wire():
+    """A quarantined index answers from its scan fallback; the typed
+    DegradedResult reaches the client intact, exact and marked."""
+    from repro import FaultSchedule, SegmentDatabase
+
+    segments = grid_segments(240, seed=65)
+    queries = list(segment_queries(segments, 8, seed=66))
+    db = SegmentDatabase.bulk_load(segments, block_capacity=16,
+                                   faults=FaultSchedule(seed=0))
+    expected = [sorted(s.label for s in r) for r in db.query_batch(queries)]
+    db._quarantine("damaged for the test")
+    daemon = ServeDaemon(db)
+    thread = _start(daemon)
+    try:
+        with ServeClient(port=daemon.port) as client:
+            got = client.query_batch(queries)
+    finally:
+        _stop(daemon, thread)
+    assert [sorted(s.label for s in r) for r in got] == expected
+    assert all(getattr(r, "degraded", False) for r in got)
+    assert all(r.reason == "damaged for the test" for r in got)
 
 
 class SlowDB:
@@ -265,7 +339,7 @@ class SlowDB:
 
 
 def test_deadline_expiry_is_a_typed_error_and_daemon_survives():
-    daemon = ServeDaemon(SlowDB(delay_s=0.4), batch_window_s=0.0)
+    daemon = ServeDaemon(SlowDB(delay_s=0.4))
     thread = _start(daemon)
     try:
         with ServeClient(port=daemon.port) as client:
@@ -313,7 +387,7 @@ def test_error_frames_carry_type_and_retryability():
 def test_overload_rejection_is_marked_retryable():
     gate = threading.Event()
     db = EchoDB(gate=gate)
-    daemon = ServeDaemon(db, max_pending=1, max_batch=1, batch_window_s=0.0)
+    daemon = ServeDaemon(db, max_pending=1, max_batch=1)
     thread = _start(daemon)
     try:
         def blocked_request(i):
@@ -345,10 +419,10 @@ def test_health_frame_reports_daemon_and_db_state():
         with ServeClient(port=daemon.port) as client:
             client.query_batch([1])
             health = client.health()
-        for key in ("draining", "inflight", "pending", "max_pending",
-                    "requests", "rejected", "deadline_expired",
-                    "degraded_requests"):
+        for key in ("pid", "draining", "inflight", "pending", "max_pending",
+                    "requests", "rejected", "deadline_expired"):
             assert key in health, key
+        assert health["pid"] == os.getpid()
         assert health["draining"] is False
         assert health["requests"] >= 1
         assert "db" not in health  # EchoDB has no health_report
@@ -357,10 +431,12 @@ def test_health_frame_reports_daemon_and_db_state():
 
 
 def test_drain_answers_every_request_of_a_coalesced_inflight_batch():
-    """SIGTERM-style stop while several clients sit coalesced in ONE
-    engine batch: every one of them still gets its exact slice back."""
-    db = EchoDB(delay_s=0.3)
-    daemon = ServeDaemon(db, max_batch=8, batch_window_s=0.15)
+    """A stop while one batch runs and several requests sit queued behind
+    it: the drain runs them as one coalesced batch, and every client
+    still gets its exact slice back."""
+    gate = threading.Event()
+    db = EchoDB(gate=gate)
+    daemon = ServeDaemon(db, max_batch=8)
     thread = _start(daemon)
     results = {}
 
@@ -368,11 +444,16 @@ def test_drain_answers_every_request_of_a_coalesced_inflight_batch():
         with ServeClient(port=daemon.port) as client:
             results[i] = client.query_batch([i, i + 10])
 
-    clients = [threading.Thread(target=one, args=(i,)) for i in range(4)]
-    for t in clients:
-        t.start()
-    time.sleep(0.05)            # all admitted, window still open
-    report = _stop(daemon, thread)   # drain while the batch is in flight
+    try:
+        clients = _hold_first_batch(daemon, db, one, range(1, 4))
+        daemon.request_stop()
+        deadline = time.monotonic() + 10
+        while not daemon._draining:
+            assert time.monotonic() < deadline, "the stop never arrived"
+            time.sleep(0.01)
+    finally:
+        gate.set()
+    report = _stop(daemon, thread)
     for t in clients:
         t.join(timeout=10)
     for i in range(4):
@@ -382,33 +463,51 @@ def test_drain_answers_every_request_of_a_coalesced_inflight_batch():
         "the drain scenario must actually have coalesced"
 
 
-def test_worker_death_mid_batch_serves_degraded_over_the_wire(tmp_path):
-    """A worker SIGKILLed under the daemon: the client receives a typed
-    DegradedBatch whose coverage map crossed the wire intact."""
-    from repro.serving import RpcChaosSchedule, SupervisorPolicy
+def test_queries_that_are_not_a_list_are_a_bad_request():
+    daemon = ServeDaemon(EchoDB())
+    thread = _start(daemon)
+    try:
+        with ServeClient(port=daemon.port) as client:
+            response = client.request({"kind": "query", "queries": 5})
+            assert response["ok"] is False
+            assert response["error_type"] == "bad-request"
+            assert "queries must be a list" in response["error"]
+            assert client.query_batch([4]) == [8]
+    finally:
+        _stop(daemon, thread)
 
-    segments = grid_segments(240, seed=63)
-    queries = list(segment_queries(segments, 8, seed=64))
-    directory = str(tmp_path / "snap")
-    ShardedSegmentDatabase.bulk_load(
-        segments, shards=2, block_capacity=16).save(directory)
-    policy = SupervisorPolicy(max_retries=0, backoff_s=0.01)
-    chaos = RpcChaosSchedule(seed=0, worker_kill_rate=1.0)
-    with ShardedSegmentDatabase.open(directory, workers=2,
-                                     supervisor=policy,
-                                     chaos=chaos) as served:
-        daemon = ServeDaemon(served)
-        thread = _start(daemon)
-        try:
-            with ServeClient(port=daemon.port) as client:
-                got = client.query_batch(queries)
-                health = client.health()
-        finally:
-            report = _stop(daemon, thread)
-    assert getattr(got, "degraded", False), "loss must be typed, not hidden"
-    assert any(str(v).startswith("down") for v in got.shard_coverage.values())
-    assert health["db"]["pool"]["failed_tasks"] > 0
-    assert report["degraded_requests"] >= 1
+
+def test_a_malformed_request_fails_alone_in_a_coalesced_batch():
+    """A request the engine cannot run, coalesced with well-formed ones:
+    only it gets the ``internal`` error; the others get their answers."""
+    gate = threading.Event()
+    db = IntsOnlyDB(gate=gate)
+    daemon = ServeDaemon(db, max_batch=8)
+    thread = _start(daemon)
+    requests = {0: [0], 1: list(range(1, 9)), 2: ["bad", "worse"]}
+    results = {}
+
+    def one(i):
+        with ServeClient(port=daemon.port) as client:
+            try:
+                results[i] = client.query_batch(requests[i])
+            except ServeRejected as exc:
+                results[i] = exc
+
+    try:
+        clients = _hold_first_batch(daemon, db, one, (1, 2))
+        gate.set()
+        for t in clients:
+            t.join(timeout=10)
+    finally:
+        gate.set()
+        report = _stop(daemon, thread)
+    assert results[0] == [0]
+    assert results[1] == [2 * q for q in range(1, 9)]
+    assert isinstance(results[2], ServeRejected)
+    assert results[2].error_type == "internal"
+    assert "not a query: 'bad'" in str(results[2])
+    assert report["batches"] == 2, "the two requests must have coalesced"
 
 
 def test_client_rejects_oversized_response_frames():

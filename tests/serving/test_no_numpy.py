@@ -20,6 +20,7 @@ SCRIPT = textwrap.dedent("""
     import repro
     import repro.__main__
     import repro.serving.daemon
+    import repro.serving.prefork
     from repro import ShardedSegmentDatabase, vs_intersects
     from repro.workloads import grid_segments, segment_queries
 
@@ -28,8 +29,7 @@ SCRIPT = textwrap.dedent("""
     built = ShardedSegmentDatabase.bulk_load(segments, shards=2,
                                              engine="solution2")
     built.save("db")
-    with ShardedSegmentDatabase.open("db", workers=0) as served:
-        answers = served.query_batch(queries)
+    answers = ShardedSegmentDatabase.open("db").query_batch(queries)
     for query, hits in zip(queries, answers):
         expected = sorted(s.label for s in segments if vs_intersects(s, query))
         assert sorted(s.label for s in hits) == expected, query

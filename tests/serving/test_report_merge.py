@@ -1,26 +1,29 @@
-"""Worker→parent telemetry merge: pooled reports equal synchronous ones.
+"""Sharded telemetry merge: per-shard batch deltas add up to the report,
+and a serving process reports what the synchronous database does.
 
-PR 5 regression under test: the pooled ``io_report()`` used to keep only
-the raw IOStats diff, silently dropping the buffer / filter / fault
-sub-dicts that the synchronous path reported.  Both back ends now
-capture per-batch :class:`~repro.serving.ShardBatchStats` deltas through
-the same helper, so the merged pooled report must equal the ``workers=0``
-report field for field.
+Every shard sub-batch is captured through
+:func:`~repro.serving.capture_batch` into a
+:class:`~repro.serving.ShardBatchStats` delta, so the sharded
+``io_report()`` carries the full counter family of a flat
+``SegmentDatabase.io_report()`` — buffer, filter and fault sub-dicts
+included — and its combined block is the sum of the shard blocks.  A
+process of ``repro serve --workers N`` keeps that report for the
+batches it answered and returns it in its ``stats`` frame: serving adds
+no I/O, so it must equal the in-process report field for field.
 """
 
 import pytest
 
 from repro import ShardedSegmentDatabase
-from repro.serving import ShardBatchStats
+from repro.serving import ServeClient, ShardBatchStats
 from repro.workloads import grid_segments, segment_queries
 
 
-def serve(directory, queries, workers, buffer_pages=None, batches=2):
-    with ShardedSegmentDatabase.open(directory, workers=workers,
-                                     buffer_pages=buffer_pages) as served:
-        for _ in range(batches):
-            served.query_batch(queries)
-        return served.io_report()
+def in_process(directory, queries, buffer_pages=None, batches=2):
+    served = ShardedSegmentDatabase.open(directory, buffer_pages=buffer_pages)
+    for _ in range(batches):
+        served.query_batch(queries)
+    return served.io_report()
 
 
 @pytest.fixture(scope="module")
@@ -33,31 +36,47 @@ def snapshot(tmp_path_factory):
     return directory, queries
 
 
-def test_pooled_report_equals_sync_report(snapshot):
-    """workers=2, no buffer: io and filter counters must match exactly."""
-    directory, queries = snapshot
-    sync = serve(directory, queries, workers=0)
-    pooled = serve(directory, queries, workers=2)
-    assert pooled == sync
+def pooled(serve, directory, queries, *flags, batches=2):
+    """The ``io`` report of each process of ``repro serve DIR --workers
+    2 *flags`` after it answered ``batches`` batches of ``queries``."""
+    daemon = serve(directory, *flags)
+    reports = []
+    with ServeClient(port=daemon.port) as a, \
+            ServeClient(port=daemon.port) as b:
+        assert {a.health()["pid"], b.health()["pid"]} == set(daemon.children)
+        for client in (a, b):
+            for _ in range(batches):
+                client.query_batch(queries)
+            reports.append(client.stats()["io"])
+    assert daemon.stop()["drained"] is True
+    return reports
 
 
-def test_pooled_report_equals_sync_report_with_buffer(snapshot):
-    """workers=1 with a buffer pool: every sub-dict must survive the
-    worker→parent merge — buffer hits/misses included (single worker, so
-    per-process pool state matches the single-process run)."""
+def test_pooled_report_equals_sync_report(serve, snapshot):
+    """No buffer: io and filter counters must match exactly."""
     directory, queries = snapshot
-    sync = serve(directory, queries, workers=0, buffer_pages=8)
-    pooled = serve(directory, queries, workers=1, buffer_pages=8)
-    assert pooled == sync
-    for shard in pooled["shards"]:
-        assert shard["buffer"] is not None
-        assert shard["buffer"]["capacity"] == 8
-        assert shard["buffer"]["hits"] + shard["buffer"]["misses"] > 0
+    sync = in_process(directory, queries)
+    for report in pooled(serve, directory, queries):
+        assert report == sync
+
+
+def test_pooled_report_equals_sync_report_with_buffer(serve, snapshot):
+    """``--buffer 8``: every sub-dict must match too, buffer hits and
+    misses included — each process runs its own pool over the same
+    batches as the single-process run."""
+    directory, queries = snapshot
+    sync = in_process(directory, queries, buffer_pages=8)
+    for report in pooled(serve, directory, queries, "--buffer", "8"):
+        assert report == sync
+        for shard in report["shards"]:
+            assert shard["buffer"] is not None
+            assert shard["buffer"]["capacity"] == 8
+            assert shard["buffer"]["hits"] + shard["buffer"]["misses"] > 0
 
 
 def test_report_carries_full_counter_family(snapshot):
     directory, queries = snapshot
-    report = serve(directory, queries, workers=2)
+    report = in_process(directory, queries)
     for block in report["shards"] + [report["combined"]]:
         assert {"reads", "writes", "allocs", "frees", "total", "buffer",
                 "filter", "faults", "degraded_queries",
@@ -68,6 +87,12 @@ def test_report_carries_full_counter_family(snapshot):
         s["filter"]["fast_hits"] for s in report["shards"])
     # The generated workload exercises the float fast path.
     assert combined["filter"]["fast_hits"] > 0
+    # With a buffer pool, every shard reports its hits and misses.
+    buffered = in_process(directory, queries, buffer_pages=8)
+    for shard in buffered["shards"]:
+        assert shard["buffer"] is not None
+        assert shard["buffer"]["capacity"] == 8
+        assert shard["buffer"]["hits"] + shard["buffer"]["misses"] > 0
 
 
 def test_shard_batch_stats_add_is_fieldwise():

@@ -1,5 +1,5 @@
-"""ShardedSegmentDatabase: routing, replication policy, persistence, and
-worker-pool equivalence.
+"""ShardedSegmentDatabase: routing, replication policy, persistence and
+per-shard explain.
 
 The replication policy under test: a boundary-crossing segment is stored
 in *every* slab it intersects, and the merge step deduplicates by label —
@@ -18,6 +18,7 @@ from repro import (
     SnapshotFormatError,
     VerticalQuery,
 )
+from repro.serving import ServeClient
 from repro.workloads import grid_segments, segment_queries
 
 
@@ -120,31 +121,44 @@ def test_save_open_round_trip_synchronous(tmp_path):
     assert labels(reopened.query_batch(queries)) == expected
 
 
-def test_worker_pool_bit_identical_to_synchronous(tmp_path):
+def test_explain_batch_reports_per_shard(tmp_path):
     segments, queries = workload()
     sharded = ShardedSegmentDatabase.bulk_load(segments, shards=2,
                                                block_capacity=16)
     directory = str(tmp_path / "sharded")
     sharded.save(directory)
+    served = ShardedSegmentDatabase.open(directory)
+    results = served.query_batch(queries[:8])
+    reports = served.explain_batch(queries[:8])
+    assert reports and all(r.description.startswith("shard ")
+                           for r in reports)
+    # Per-shard reports count pre-merge results, so they can only
+    # exceed the merged answer (by the replicated duplicates).
+    assert sum(r.results for r in reports) >= sum(len(r) for r in results)
 
-    sync = ShardedSegmentDatabase.open(directory, workers=0)
-    sync_results = sync.query_batch(queries)
-    with ShardedSegmentDatabase.open(directory, workers=2) as pooled:
-        pooled_results = pooled.query_batch(queries)
-        # Bit-identical: same labels in the same order, not just as sets.
-        assert ([[str(s.label) for s in r] for r in pooled_results]
-                == [[str(s.label) for s in r] for r in sync_results])
-        # The workers' shipped-back I/O equals the synchronous charge.
-        assert (pooled.io_report()["combined"]
-                == sync.io_report()["combined"])
 
-        reports = pooled.explain_batch(queries[:8])
-        assert reports and all(r.description.startswith("shard ")
-                               for r in reports)
-        # Per-shard reports count pre-merge results, so they can only
-        # exceed the merged answer (by the replicated duplicates).
-        assert sum(r.results for r in reports) >= sum(
-            len(r) for r in pooled_results[:8])
+def test_worker_pool_bit_identical_to_synchronous(serve, tmp_path):
+    """Both processes of ``repro serve --workers 2`` answer what the
+    synchronous database answers — same labels in the same order, for
+    queries on the slab boundaries too — and charge the same I/O."""
+    segments, queries = workload()
+    sharded = ShardedSegmentDatabase.bulk_load(segments, shards=3,
+                                               block_capacity=16)
+    directory = str(tmp_path / "sharded")
+    sharded.save(directory)
+    queries += [VerticalQuery(b) for b in sharded.boundaries]
+    sync = ShardedSegmentDatabase.open(directory)
+    want = [[str(s.label) for s in r] for r in sync.query_batch(queries)]
+    daemon = serve(directory)
+    with ServeClient(port=daemon.port) as a, \
+            ServeClient(port=daemon.port) as b:
+        assert {a.health()["pid"], b.health()["pid"]} == set(daemon.children)
+        for client in (a, b):
+            got = client.query_batch(queries)
+            assert [[str(s.label) for s in r] for r in got] == want
+            assert (client.stats()["io"]["combined"]
+                    == sync.io_report()["combined"])
+    assert daemon.stop()["drained"] is True
 
 
 def test_open_rejects_damaged_manifest(tmp_path):
@@ -169,12 +183,10 @@ def test_open_rejects_damaged_manifest(tmp_path):
         ShardedSegmentDatabase.open(str(directory))
 
 
-def test_save_from_pool_mode_refuses(tmp_path):
+def test_open_with_workers_points_at_serve(tmp_path):
     segments, _ = workload(n=60, queries=4)
-    sharded = ShardedSegmentDatabase.bulk_load(segments, shards=2,
-                                               block_capacity=16)
     directory = str(tmp_path / "sharded")
-    sharded.save(directory)
-    with ShardedSegmentDatabase.open(directory, workers=1) as pooled:
-        with pytest.raises(ValueError, match="pool-backed"):
-            pooled.save(str(tmp_path / "other"))
+    ShardedSegmentDatabase.bulk_load(segments, shards=2,
+                                     block_capacity=16).save(directory)
+    with pytest.raises(ValueError, match="repro serve DIR --workers N"):
+        ShardedSegmentDatabase.open(directory, workers=2)

@@ -12,11 +12,10 @@ sys.path.insert(
 from check_regression import compare, extract_metrics, main  # noqa: E402
 
 
-def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, reduction=30.0,
-              mttr=120.0, supervised_ratio=0.98):
-    """A minimal schema-v5 artifact shaped like the real one."""
+def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, speedup=1.2):
+    """A minimal schema-v6 artifact shaped like the real one."""
     return {
-        "schema_version": 5,
+        "schema_version": 6,
         "commit": "abc1234",
         "experiments": {
             "E15": {
@@ -43,26 +42,16 @@ def perf_file(qps=1000.0, p99=2.0, exact_qps=100.0, reduction=30.0,
             "E17": {
                 "engine": "solution2",
                 "throughput": {
-                    "4": {"2": {"queries_per_s": qps, "batch_p99_ms": p99}},
+                    "4": {"queries_per_s": qps, "batch_p99_ms": p99},
                 },
             },
-            "E18": {
-                "engine": "solution2",
-                "overhead": {
-                    "pickle_s": 3.0,
-                    "shm_s": 3.0 / reduction,
-                    "overhead_reduction": reduction,
-                    "attach_reduction": reduction * 2,
+            "E20": {
+                "engines": {
+                    "solution1": {"scalar_qps": qps / speedup,
+                                  "columnar_qps": qps,
+                                  "kernel_speedup_ratio": speedup},
+                    "scan": {"kernel_speedup_ratio": 2.5},
                 },
-            },
-            "E19": {
-                "engine": "solution2",
-                "mttr_ms": mttr,
-                "supervised_qps_ratio": supervised_ratio,
-                "chaos_sweep": [
-                    {"kill_rate": 0.15, "degraded_fraction": 0.05,
-                     "stall_p99_ms": 500.0},
-                ],
             },
         },
     }
@@ -72,8 +61,8 @@ def test_extracts_only_gated_metrics():
     metrics = extract_metrics(perf_file())
     assert "E15.engines.solution1.queries_per_sec.1" in metrics
     assert "E16.engines.solution2.filtered_qps" in metrics
-    assert "E17.throughput.4.2.queries_per_s" in metrics
-    assert "E17.throughput.4.2.batch_p99_ms" in metrics
+    assert "E17.throughput.4.queries_per_s" in metrics
+    assert "E17.throughput.4.batch_p99_ms" in metrics
     # Baselines, bookkeeping stamps and non-metric leaves stay out.
     assert not any("scan" in k or "rtree" in k for k in metrics)
     assert not any("commit" in k or "generated_at" in k for k in metrics)
@@ -81,29 +70,27 @@ def test_extracts_only_gated_metrics():
     assert not any(k.endswith("exact_qps") for k in metrics)
 
 
-def test_extracts_overhead_ratios():
+def test_extracts_kernel_speedup_ratio():
     metrics = extract_metrics(perf_file())
-    assert metrics["E18.overhead.overhead_reduction"] == ("ratio", 30.0)
-    assert metrics["E18.overhead.attach_reduction"] == ("ratio", 60.0)
-    # The raw overhead seconds are inputs, not gated metrics.
-    assert not any(k.endswith("pickle_s") or k.endswith("shm_s")
-                   for k in metrics)
+    assert metrics["E20.engines.solution1.kernel_speedup_ratio"] == \
+        ("ratio", 1.2)
+    # Baseline engines never gate, whatever the metric.
+    assert not any(".scan." in k for k in metrics)
 
 
-def test_overhead_ratio_drop_beyond_tolerance_fails():
-    verdict = compare(perf_file(reduction=30.0), perf_file(reduction=10.0),
+def test_ratio_drop_beyond_tolerance_fails():
+    verdict = compare(perf_file(speedup=1.2), perf_file(speedup=0.5),
                       0.25, 0.25, max_ratio_drop=0.5)
     ratio_regressions = [r for r in verdict["regressions"]
                          if r["kind"] == "ratio"]
     assert {r["metric"] for r in ratio_regressions} == {
-        "E18.overhead.overhead_reduction",
-        "E18.overhead.attach_reduction",
+        "E20.engines.solution1.kernel_speedup_ratio",
     }
 
 
-def test_overhead_ratio_within_tolerance_passes():
-    # Half the win gone is the (loose) limit; 60% retained passes.
-    verdict = compare(perf_file(reduction=30.0), perf_file(reduction=18.0),
+def test_ratio_within_tolerance_passes():
+    # Half the ratio gone is the (loose) limit; 60% retained passes.
+    verdict = compare(perf_file(speedup=1.2), perf_file(speedup=0.72),
                       0.25, 0.25, max_ratio_drop=0.5)
     assert [r for r in verdict["regressions"] if r["kind"] == "ratio"] == []
 
@@ -111,35 +98,10 @@ def test_overhead_ratio_within_tolerance_passes():
 def test_max_ratio_drop_flag(tmp_path):
     base = tmp_path / "base.json"
     cur = tmp_path / "cur.json"
-    base.write_text(json.dumps(perf_file(reduction=30.0)))
-    cur.write_text(json.dumps(perf_file(reduction=24.0)))
+    base.write_text(json.dumps(perf_file(speedup=1.2)))
+    cur.write_text(json.dumps(perf_file(speedup=0.96)))
     assert main([str(base), str(cur), "--max-ratio-drop", "0.1"]) == 1
     assert main([str(base), str(cur), "--max-ratio-drop", "0.3"]) == 0
-
-
-def test_extracts_resilience_metrics():
-    metrics = extract_metrics(perf_file())
-    assert metrics["E19.mttr_ms"] == ("p99", 120.0)
-    assert metrics["E19.supervised_qps_ratio"] == ("ratio", 0.98)
-    # Chaos operating-point numbers are recorded, never gated — one
-    # respawn stall IS the p99 at smoke sizes.
-    assert not any("stall_p99_ms" in k or "degraded_fraction" in k
-                   for k in metrics)
-
-
-def test_mttr_inflation_beyond_tolerance_fails():
-    verdict = compare(perf_file(mttr=100.0), perf_file(mttr=200.0),
-                      0.25, 0.25)
-    assert any(r["metric"] == "E19.mttr_ms" and r["kind"] == "p99"
-               for r in verdict["regressions"])
-
-
-def test_supervised_ratio_halving_fails():
-    verdict = compare(perf_file(supervised_ratio=1.0),
-                      perf_file(supervised_ratio=0.4),
-                      0.25, 0.25, max_ratio_drop=0.5)
-    assert any(r["metric"] == "E19.supervised_qps_ratio"
-               and r["kind"] == "ratio" for r in verdict["regressions"])
 
 
 def test_identical_files_pass():
