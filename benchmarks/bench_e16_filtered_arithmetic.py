@@ -11,10 +11,14 @@ dodges big-integer arithmetic.
 
 The run measures, per engine, wall-clock queries/second with the filter
 on and in ``exact-only`` mode, plus the filter hit rate (certified signs
-/ all filtered decisions).  The headline: the paper engines — whose
-query cost is dominated by comparisons, not scans — speed up by >= 2x
-on the N=4096 integer workload.  ``E16_N`` / ``E16_QUERIES`` shrink the
-workload for CI smoke runs.
+/ all filtered decisions).  ``exact-only`` is the reference
+configuration: exact arithmetic on every compare, no fused scans, and a
+per-row ``classify`` on every PST node.  Filtered mode also bisects PST
+nodes (DESIGN.md §15), so on the paper engines the ratio prices the
+filter and the bisection together.  The headline: the paper engines —
+whose query cost is dominated by comparisons, not scans — speed up by
+>= 2x on the N=4096 integer workload.  ``E16_N`` / ``E16_QUERIES``
+shrink the workload for CI smoke runs.
 """
 
 import os

@@ -1,14 +1,17 @@
-"""E20 — fused page kernels: scalar vs fused scan/classify.
+"""E20 — fused page kernels: scalar vs fused page scans.
 
 The companion to E16.  E16 flips the *arithmetic* (filtered floats vs
 exact rationals); E20 flips the *kernel shape* — the same filtered
 arithmetic executed row-at-a-time by the original scalar loops
 (``set_vectorized(False)``) versus the fused page kernels of
 DESIGN.md §15 (one pure-Python pass per page of four or more rows).
-Results, per-query I/O counts and the fast-hit/exact-fallback telemetry
-are bit-identical in both modes — this file re-asserts that on a query
-sample before timing anything.  "columnar" names the kernel mode in the
-recorded fields and tables.
+PST nodes are bisected in both modes (DESIGN.md §15), so the modes
+differ only in the leaf, grid, R-tree and stab-filter page scans; on
+the paper engines, whose query time is mostly PST work, the ratio
+measures that remainder.  Results, per-query I/O counts and the
+fast-hit/exact-fallback telemetry are bit-identical in both modes — this
+file re-asserts that on a query sample before timing anything.
+"columnar" names the kernel mode in the recorded fields and tables.
 
 Two headline numbers, both at N=4096, B=32:
 
@@ -260,8 +263,9 @@ def test_e20_kernels():
             "Wider pages amortise the per-page kernel setup across more "
             "rows; at B=16 the margin thins to parity (a 16-row page "
             "retires in a handful of early-exit compares either way).  "
-            "G-tree key compares are scalar in both modes, so solution2's "
-            "ratio comes from its PST and leaf scans alone.  "
+            "G-tree key compares are scalar and PST nodes are bisected in "
+            "both modes, so the paper engines' ratios come from their leaf "
+            "scans alone.  "
             "Machine-readable copy: `" + os.path.basename(path) + "` "
             "(key `E20`, "
             "`kernel_speedup_ratio` gated by check_regression.py).",

@@ -31,6 +31,7 @@ leaf overflows rebuild the leaf locally; a whole-tree rebuild runs every
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable, Iterator, List, Optional, Tuple
 
 from ...geometry import HQuery, LineBasedSegment
@@ -213,19 +214,20 @@ class ExternalPST:
         capacity = self._node_capacity()
         # Place the segment in this node; evict the shortest on overflow.
         items = node.items
-        items.append(segment)
-        items.sort(key=_key)
+        insort(items, segment, key=_key)
         if len(items) <= capacity:
             write_node(self.pager, items, node.children, node.low,
                        items_page=self.pager.fetch(pid))
             return
-        evicted = min(items, key=_height_order)
-        items.remove(evicted)
+        evicted = items.pop(min(range(len(items)),
+                                key=lambda i: _height_order(items[i])))
 
         if node.is_leaf:
-            # Split the overflowing leaf into a node with children.
-            everything = sorted(items + [evicted], key=_key)
-            new_pid = self._rebuild_at(pid, everything)
+            # Split the overflowing leaf into a node with children; the
+            # evicted row goes back after its equal base keys, where the
+            # rebuild has always found it.
+            insort(items, evicted, key=_key)
+            new_pid = self._rebuild_at(pid, items)
             assert new_pid == pid
             return
 
@@ -316,13 +318,17 @@ class ExternalPST:
 
     def _delete_below(self, pid: int, segment: LineBasedSegment) -> bool:
         node = read_node(self.pager, pid)
-        if segment in node.items:
-            node.items.remove(segment)
-            self._pull_up(node)
-            return True
+        items = node.items
+        key = _key(segment)
+        # Equal segments have equal base keys: test equality on that run.
+        for i in range(bisect_left(items, key, key=_key),
+                       bisect_right(items, key, key=_key)):
+            if items[i] == segment:
+                del items[i]
+                self._pull_up(node)
+                return True
         if node.is_leaf:
             return False
-        key = _key(segment)
         for child in node.children:
             if child.min_base <= key <= child.max_base:
                 if self._delete_below(child.pid, segment):
@@ -351,8 +357,7 @@ class ExternalPST:
                 node.children = []
                 break
             promoted = best.top
-            node.items.append(promoted)
-            node.items.sort(key=_key)
+            insort(node.items, promoted, key=_key)
             removed = self._delete_below(best.pid, promoted)
             assert removed, "routing top desynchronised"
             best.count -= 1

@@ -24,6 +24,13 @@ does not reach ``h``.  This visits, per level, at most the two subtrees
 straddling the answer's boundary — the paper's "Q refers at most two nodes
 on each level" — plus subtrees that are guaranteed to report (charged to
 the output): O(log n + t) I/Os in total, which benchmark E1 verifies.
+
+The same invariant orders the rows inside one node: those reaching ``h``
+run LEFT, then HIT, then RIGHT in the node's base order.  A node visit
+therefore bisects for the HIT run and its two neighbouring witnesses
+(:func:`repro.geometry.kernels.page_classify_summary`), O(log B)
+compares instead of up to two per row.  Exact-only mode keeps the
+per-row :func:`classify` loop as the reference.
 """
 
 from __future__ import annotations
@@ -112,8 +119,9 @@ def _report_visit(tree, pid: int, query: HQuery, bounds: _Bounds, hits: List) ->
     reads_before = span.reads if span is not None else 0
     node = tree.read(pid)
     reported = False
-    summary = _kernels.page_classify_summary(None, query, node.items)
+    summary = _kernels.page_classify_summary(node, query)
     if summary is None:
+        # Exact-only mode: the per-row reference.
         for segment in node.items:
             side = classify(segment, query)
             if side == HIT:
@@ -122,8 +130,9 @@ def _report_visit(tree, pid: int, query: HQuery, bounds: _Bounds, hits: List) ->
             else:
                 bounds.absorb(segment, side)
     else:
-        # Witness reduction: items are sorted by base key, so the last
-        # LEFT row carries the page's tightest left witness and the first
+        # The node's rows that reach ``h`` run LEFT, HIT, RIGHT in base
+        # order, so the summary bisects for the HIT run.  The last LEFT
+        # row carries the node's tightest left witness and the first
         # RIGHT row the tightest right witness — absorbing just those two
         # yields the same final bounds as absorbing every non-hit row.
         items = node.items
@@ -191,7 +200,7 @@ def _find_visit(tree, pid, query, bounds: _Bounds, best: List, side: str) -> Non
     node = tree.read(pid)
     if span is not None:
         span.move("descent", reads=span.reads - reads_before)
-    summary = _kernels.page_classify_summary(None, query, node.items)
+    summary = _kernels.page_classify_summary(node, query)
     if summary is None:
         for segment in node.items:
             kind = classify(segment, query)

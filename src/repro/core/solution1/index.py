@@ -85,7 +85,7 @@ def split_at_line(segment: Segment, c) -> Tuple[Optional[Tuple], Optional[object
 def _part(original: Segment, far_endpoint, c, y_c) -> Segment:
     return Segment.from_coords(
         far_endpoint.x, far_endpoint.y, c, y_c, label=original.label
-    ).with_label(original.label)
+    )
 
 
 class TwoLevelBinaryIndex:

@@ -130,7 +130,7 @@ def split_segment(boundaries: Sequence, segment: Segment) -> Optional[SplitResul
         part = Segment.from_coords(
             segment.start.x, segment.start.y, s_i, segment.y_at_unchecked(s_i),
             label=segment.label,
-        ).with_label(segment.label)
+        )
         result.left_short = (
             i, VerticalBaseFrame(s_i, "left").to_line_based(part, payload=segment)
         )
@@ -138,7 +138,7 @@ def split_segment(boundaries: Sequence, segment: Segment) -> Optional[SplitResul
         part = Segment.from_coords(
             s_j, segment.y_at_unchecked(s_j), segment.end.x, segment.end.y,
             label=segment.label,
-        ).with_label(segment.label)
+        )
         result.right_short = (
             j, VerticalBaseFrame(s_j, "right").to_line_based(part, payload=segment)
         )

@@ -1,13 +1,12 @@
-"""Fused page kernels: one Python pass per page instead of a call per row.
+"""Page kernels: one fused pass per scanned page, a bisection per PST node.
 
 The filtered arithmetic (DESIGN.md §9) made every *single* comparison
 cheap; what remains on the hot path is the Python interpreter driving
 one predicate call per stored segment per page.  This module removes
-that loop: the per-page predicates — ``vs_intersects`` over a leaf
-page, ``classify`` over a PST node — run as one fused pass per
-(page, query) pair.
+that loop for the page scans: ``vs_intersects`` over a leaf page runs
+as one fused pass per (page, query) pair.
 
-Two kernel tiers share each dispatch point, selected by row count:
+Two kernel tiers share each scan dispatch point, selected by row count:
 
 * **scalar tier** (``n < MIN_ROWS``): the original per-row predicate
   calls — on a handful of rows the fused loop's setup costs more than
@@ -17,13 +16,15 @@ Two kernel tiers share each dispatch point, selected by row count:
   chasing, short-circuits preserved.  Setup (query balls, locals) is
   paid once per page instead of once per row.
 
-G-tree key compares (:func:`gkey_sign_table`) are one scalar compare
-per consulted row: a G-tree scan consults about half of a leaf's rows
-and breaks early, so building a sign table for the whole leaf cost
-more than it saved (DESIGN.md §15).
+A PST node is not scanned at all: :func:`page_classify_summary`
+bisects its base order, one scalar compare per probe, the same in both
+tiers.  G-tree key compares (:func:`gkey_sign_table`) are one scalar
+compare per consulted row: a G-tree scan consults about half of a
+leaf's rows and breaks early, so building a sign table for the whole
+leaf cost more than it saved (DESIGN.md §15).
 
-Exactness contract.  The float expressions here are *verbatim
-replicas* of the scalar filtered kernels in
+Exactness contract.  The float expressions of the fused scan are
+*verbatim replicas* of the scalar filtered kernels in
 :mod:`repro.geometry.filtered` — same operations, same order, same
 ``_EPS``/``_SLOP``/``_TINY`` error accounting — so the certified/
 uncertified partition of rows is bit-identical to the scalar code, and
@@ -39,16 +40,18 @@ Control-flow contract.  Kernels never touch the pager or the device —
 they read already-fetched page payloads — so the page fetch sequence,
 and with it every simulated I/O count, is identical whether the
 kernels are enabled or disabled (:func:`set_vectorized`).  Exact-only
-mode (``REPRO_EXACT_ONLY``) disables the kernels too, since they *are*
-the float fast path.
+mode (``REPRO_EXACT_ONLY``) disables the fused scans and the PST
+bisection: it is the reference configuration, exact arithmetic on
+every row.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Optional, Sequence, Tuple
 
 from . import filtered
-from .filtered import _EPS, _SLOP, _TINY, STATS, compare_interp
+from .filtered import _EPS, _SLOP, _TINY, STATS, compare_interp, compare_u_at
 
 #: Below this many rows even the fused loop's per-page setup exceeds the
 #: scalar per-row calls it replaces; such pages stay scalar.
@@ -58,17 +61,17 @@ _vectorized = True
 
 
 def set_vectorized(flag: bool) -> None:
-    """Enable/disable the fused kernels (the E20 A/B switch).
+    """Enable/disable the fused page scans (the E20 A/B switch).
 
-    Results and I/O counts are identical either way; only wall-clock
-    changes.
+    Results, I/O counts and filter telemetry are identical either way;
+    only wall-clock changes.  PST nodes are bisected either way.
     """
     global _vectorized
     _vectorized = bool(flag)
 
 
 def vectorized_enabled() -> bool:
-    """True when page kernels will actually run (off in exact-only mode)."""
+    """True when the fused page scans will run (off in exact-only mode)."""
     return _vectorized and not filtered.exact_only_enabled()
 
 
@@ -227,124 +230,59 @@ def rtree_subset_hits(page, query, idx: Sequence[int],
 
 
 # ----------------------------------------------------------------------
-# PST classify over a node's items page
+# PST node summary: bisect the base order
 # ----------------------------------------------------------------------
-def classify_summary_py(items: Sequence, query
-                        ) -> Optional[Tuple[list, Optional[int],
-                                            Optional[int]]]:
-    """Fused-tier ``(hit_rows, last_left_row, first_right_row)``.
+def page_classify_summary(node, query) -> Optional[Tuple[list,
+                                                       Optional[int],
+                                                       Optional[int]]]:
+    """``(hit_rows, last_left_row, first_right_row)`` for one PST node.
 
-    A single-pass replica of the scalar ``classify`` over a whole page:
-    the exact reach-height test, then ``filtered.compare_u_at``'s float
-    expressions inlined verbatim for each present bound, with the
-    scalar short-circuits (BELOW consumes no window compare, LEFT one)
-    preserved row by row.  Certified compares are bulk-tallied as fast
-    hits; uncertified rows fall through to the scalar ``compare_u_at``
-    (which counts itself).  Only HIT rows and the two boundary
-    witnesses are materialised — exactly what the PST search consumes.
-    Returns ``None`` when the query has no usable float bounds.
+    ``node`` is a PST node view
+    (:class:`repro.core.linebased.node.NodeView`): its ``items`` in base
+    order, and ``by_height()`` to find the rows that reach
+    ``query.h``.  Non-crossing segments keep their base order at every
+    height, so those rows run LEFT, then HIT, then RIGHT.  Two binary
+    searches over them find the first row not LEFT of ``ulo`` and the
+    first row RIGHT of ``uhi``, one filtered ``compare_u_at`` per
+    probe: at most ``2*ceil(log2(k + 1))`` compares when ``k`` rows
+    reach ``h``, against up to two per reaching row for a per-row pass.
+    The rows in between are the HITs; their two neighbours are the
+    tightest witnesses, which carry the same final bounds as absorbing
+    every non-hit row.  The result does not depend on
+    :func:`set_vectorized`.
+
+    ``None`` in exact-only mode: the caller then runs the per-row
+    ``classify`` loop, the reference this search must agree with.
     """
-    hb, lob, hib = query.balls()
-    if hb is None:
+    if filtered.exact_only_enabled():
         return None
-    ulo, uhi = query.ulo, query.uhi
-    if ulo is not None and lob is None:
-        return None
-    if uhi is not None and hib is None:
-        return None
-    fh, eh = hb
-    afh = abs(fh)
-    fbl = ebl = fbh = ebh = 0.0
-    if ulo is not None:
-        fbl, ebl = lob
-    if uhi is not None:
-        fbh, ebh = hib
     h = query.h
-    compare = filtered.compare_u_at
-    eps, slop, tiny = _EPS, _SLOP, _TINY
-    abs_ = abs  # local binding: the loop calls it ~20x per row
-    hit_rows: list = []
-    ap = hit_rows.append
-    last_left = first_right = None
-    fast = 0
-    i = -1
-    for s in items:
-        i += 1
-        if s.h1 < h:              # BELOW: no witness, exact compare
-            continue
-        fp = s._fp
-        if fp is None:
-            if ulo is not None and compare(s, h, ulo, hb, lob) < 0:
-                last_left = i
-            elif uhi is not None and compare(s, h, uhi, hb, hib) > 0:
-                if first_right is None:
-                    first_right = i
+    heights, rows = node.by_height()
+    reach = sorted(rows[bisect_left(heights, h):])
+    k = len(reach)
+    items = node.items
+    hb, lob, hib = query.balls()
+    ulo, uhi = query.ulo, query.uhi
+    lo = 0
+    if ulo is not None:
+        hi = k
+        while lo < hi:
+            mid = (lo + hi) >> 1
+            if compare_u_at(items[reach[mid]], h, ulo, hb, lob) < 0:
+                lo = mid + 1
             else:
-                ap(i)
-            continue
-        if ulo is None and uhi is None:
-            ap(i)
-            continue
-        u0, eu0, du, edu, h1, eh1 = fp
-        # compare_u_at's second product is bound-independent; computing
-        # it once per row is bit-identical (the terms are independent).
-        t2 = du * fh
-        et2 = abs_(du) * eh + afh * edu + edu * eh + abs_(t2) * eps
-        if ulo is not None:
-            d0 = u0 - fbl
-            ed = eu0 + ebl + abs_(d0) * eps
-            t1 = d0 * h1
-            et1 = abs_(d0) * eh1 + abs_(h1) * ed + ed * eh1 + abs_(t1) * eps
-            v = t1 + t2
-            err = (et1 + et2 + abs_(v) * eps) * slop + tiny
-            if -v > err:          # u(h) < ulo -> passes left
-                fast += 1
-                last_left = i
-                continue
-            if v > err:
-                fast += 1
-            elif compare(s, h, ulo, hb, lob) < 0:
-                last_left = i
-                continue
-        if uhi is not None:
-            d0 = u0 - fbh
-            ed = eu0 + ebh + abs_(d0) * eps
-            t1 = d0 * h1
-            et1 = abs_(d0) * eh1 + abs_(h1) * ed + ed * eh1 + abs_(t1) * eps
-            v = t1 + t2
-            err = (et1 + et2 + abs_(v) * eps) * slop + tiny
-            if v > err:           # u(h) > uhi -> passes right
-                fast += 1
-                if first_right is None:
-                    first_right = i
-                continue
-            if -v > err:
-                fast += 1
-            elif compare(s, h, uhi, hb, hib) > 0:
-                if first_right is None:
-                    first_right = i
-                continue
-        ap(i)
-    STATS.fast_hits += fast
-    return hit_rows, last_left, first_right
-
-
-def page_classify_summary(page, query, items: Optional[Sequence] = None
-                          ) -> Optional[Tuple[list, Optional[int],
-                                              Optional[int]]]:
-    """``(hit_rows, last_left_row, first_right_row)`` for one node page.
-
-    The shape the PST search actually consumes: HIT row indices in
-    storage order plus the page's two tightest witnesses (items are
-    sorted by base key, so the last LEFT row and the first RIGHT row
-    carry the same final bounds as absorbing every non-hit row).
-    ``None`` means the caller runs the scalar path.
-    """
-    if items is None:
-        items = page.items
-    if not vectorized_enabled() or len(items) < MIN_ROWS:
-        return None
-    return classify_summary_py(items, query)
+                hi = mid
+    end = k
+    if uhi is not None:
+        first = lo
+        while first < end:
+            mid = (first + end) >> 1
+            if compare_u_at(items[reach[mid]], h, uhi, hb, hib) > 0:
+                end = mid
+            else:
+                first = mid + 1
+    return (reach[lo:end], reach[lo - 1] if lo else None,
+            reach[end] if end < k else None)
 
 
 # ----------------------------------------------------------------------

@@ -26,11 +26,12 @@ daemon's drain report) on the way out.  EOF on a channel means that
 child is gone: the parent reaps it and, unless it is stopping, forks a
 replacement.  A child that cannot open the shards stops the start; once
 the server is up, a replacement that cannot is reported on stderr and
-the others keep serving.  EOF on the child's side means the parent is
-gone: the child drains and exits, so a SIGKILLed parent leaves no orphan
-holding its stdout.  SIGTERM/SIGINT make the parent stop accepting and
-SIGTERM every child; it returns one report whose counters sum the
-children's.
+the others keep serving.  A child that a signal kills before it is
+ready (no ``error`` sent) is replaced, a few times in a row at most.
+EOF on the child's side means the parent is gone: the child drains and
+exits, so a SIGKILLed parent leaves no orphan holding its stdout.
+SIGTERM/SIGINT make the parent stop accepting and SIGTERM every child;
+it returns one report whose counters sum the children's.
 """
 
 from __future__ import annotations
@@ -52,6 +53,11 @@ from .sharded import ShardedSegmentDatabase
 SUMMED = ("requests", "queries", "batches", "rejected", "deadline_expired")
 #: Largest message a child sends up its channel (a drain report).
 _MAX_MESSAGE = 1 << 16
+#: Children in a row that a signal may kill before they report ready and
+#: still be replaced.  Such a death says nothing about the snapshot (the
+#: OOM killer, an operator's SIGKILL), but a host that kills every child
+#: must not make the parent fork forever.
+MAX_UNREADY_KILLS = 3
 _LISTEN = "listen"
 _WAKE = "wake"
 
@@ -92,6 +98,7 @@ class PreforkServer:
         self.announced = False
         self._stopping = False
         self._lost = 0  # children that ended during the stop unreported
+        self._unready_kills = 0  # signal deaths before ready, in a row
         self._error: Optional[str] = None
         self._listeners: List[socket.socket] = []
         self._listening = False
@@ -225,6 +232,7 @@ class PreforkServer:
         if "ready" in message:
             child.ready = True
             self._shards = message["shards"]
+            self._unready_kills = 0
         elif "error" in message:
             child.error = message["error"]
         elif "report" in message:
@@ -234,9 +242,12 @@ class PreforkServer:
         """``child`` closed its channel: collect it and, unless the
         server is stopping, replace it.
 
-        A child that never became ready stops the start; after the
-        ready banner it is only reported, so that one failed replacement
-        does not take down the children still serving."""
+        A child that a signal killed before it became ready, without
+        reporting an ``error``, is replaced too, up to
+        :data:`MAX_UNREADY_KILLS` in a row.  Any other child that never
+        became ready stops the start; after the ready banner it is only
+        reported, so that one failed replacement does not take down the
+        children still serving."""
         self._selector.unregister(child.channel)
         child.channel.close()
         del self._children[child.pid]
@@ -250,8 +261,18 @@ class PreforkServer:
         if child.ready:
             self._fork()
             return
-        error = child.error or (f"serving process {child.pid} exited with "
-                                f"status {os.waitstatus_to_exitcode(status)} "
+        killed = os.WIFSIGNALED(status)
+        if (killed and child.error is None
+                and self._unready_kills < MAX_UNREADY_KILLS):
+            self._unready_kills += 1
+            self._fork()
+            return
+        if killed:
+            why = (f"was killed by signal {os.WTERMSIG(status)} "
+                   f"({self._unready_kills + 1} in a row)")
+        else:
+            why = f"exited with status {os.WEXITSTATUS(status)}"
+        error = child.error or (f"serving process {child.pid} {why} "
                                 f"before it was ready")
         if not self.announced or not self._children:
             self._error = error

@@ -211,7 +211,6 @@ class ChaosProxy:
             return
         with self._lock:
             self._conns.extend((client, upstream))
-        done = threading.Event()
 
         def pump_requests() -> None:
             try:
@@ -223,14 +222,12 @@ class ChaosProxy:
             except OSError:
                 pass
             finally:
-                done.set()
                 _shutdown(upstream)
 
         threading.Thread(target=pump_requests, daemon=True).start()
         try:
             self._pump_responses(upstream, client)
         finally:
-            done.set()
             _close_both(client, upstream)
 
     def _pump_responses(self, upstream: socket.socket,

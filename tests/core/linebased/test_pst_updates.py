@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.core.linebased import ExternalPST
 from repro.geometry import HQuery, LineBasedSegment, lb_intersects
 from repro.iosim import BlockDevice, Measurement, Pager
-from repro.workloads import fan, hqueries
+from repro.workloads import fan, hqueries, shared_base_fans
 
 
 def build(segments, capacity=4, fanout=2):
@@ -153,3 +153,71 @@ def test_mixed_updates_match_model(seed, ops):
     tree.check_invariants()
     q = HQuery.line(30)
     assert sorted(s.label for s in tree.query(q)) == oracle(list(live.values()), q)
+
+
+def _node_keys_in_order(tree):
+    """Every node's items are in base order (equal keys side by side)."""
+    stack = [tree.root_pid] if tree.root_pid is not None else []
+    while stack:
+        node = tree.read(stack.pop())
+        keys = [s.base_order_key() for s in node.items]
+        assert keys == sorted(keys)
+        stack.extend(c.pid for c in node.children)
+
+
+def _with_equal_keys(seed):
+    """A non-crossing set where base keys repeat: clusters sharing a base
+    point, and duplicate geometry under distinct labels."""
+    segments = shared_base_fans(12, per_cluster=4, max_height=60, seed=seed)
+    dups = [LineBasedSegment(s.u0, s.u1, s.h1, label=("dup", i, k))
+            for i, s in enumerate(segments[::5]) for k in range(3)]
+    return segments + dups
+
+
+class TestEqualBaseKeys:
+    def test_delete_removes_the_right_duplicate(self):
+        twins = [LineBasedSegment(50, 52, 9, label=("twin", k))
+                 for k in range(6)]
+        segments = fan(30, max_height=20, seed=13) + twins
+        _d, _p, tree = build(segments, capacity=4)
+        for k in (3, 0, 5):
+            assert tree.delete(twins[k])
+            tree.check_invariants()
+        left = {s.label for s in tree.all_segments()}
+        assert left & {t.label for t in twins} == {
+            ("twin", 1), ("twin", 2), ("twin", 4)}
+        assert len(left) == len(segments) - 3
+        assert not tree.delete(twins[3])
+
+    def test_inserts_keep_base_order(self):
+        segments = _with_equal_keys(seed=14)
+        _d, _p, tree = build([], capacity=4)
+        for s in random.Random(15).sample(segments, len(segments)):
+            tree.insert(s)
+            _node_keys_in_order(tree)
+        tree.check_invariants()
+        for q in hqueries(segments, 12, selectivity=0.1, seed=16):
+            assert sorted(map(str, (s.label for s in tree.query(q)))) == \
+                sorted(map(str, oracle(segments, q)))
+
+    def test_churn_stream_keeps_invariants(self):
+        pool = _with_equal_keys(seed=17)
+        rng = random.Random(18)
+        live = rng.sample(pool, len(pool) // 2)
+        _d, _p, tree = build(live, capacity=8)
+        live = {s.label: s for s in live}
+        for step in range(400):
+            s = rng.choice(pool)
+            if s.label in live:
+                assert tree.delete(s)
+                del live[s.label]
+            else:
+                tree.insert(s)
+                live[s.label] = s
+            if step % 20 == 0:
+                tree.check_invariants()
+        tree.check_invariants()
+        remaining = list(live.values())
+        for q in hqueries(pool, 12, selectivity=0.1, seed=19):
+            assert sorted(map(str, (s.label for s in tree.query(q)))) == \
+                sorted(map(str, oracle(remaining, q)))

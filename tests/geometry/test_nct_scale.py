@@ -1,5 +1,6 @@
 """The plane sweep at workload scale (where brute force is infeasible)."""
 
+import pytest
 
 from repro.geometry import Segment, find_crossing_sweep, validate_nct
 from repro.workloads import (
@@ -24,6 +25,7 @@ class TestSweepAtScale:
         assert find_crossing_sweep(segments) is None
 
     def test_large_delaunay(self):
+        pytest.importorskip("scipy")  # the Delaunay workload's test extra
         segments = delaunay_edges(1200, seed=4)
         assert find_crossing_sweep(segments) is None
 

@@ -64,6 +64,22 @@ def serve_env():
     return env
 
 
+def blocked_in_fifo_open(parent, known):
+    """Wait for a child of ``parent`` outside ``known`` that sits in
+    ``open`` on a FIFO with no writer; returns its pid."""
+    deadline = time.monotonic() + BANNER_TIMEOUT_S
+    while True:
+        for pid in live_children(parent) - set(known):
+            try:
+                with open(f"/proc/{pid}/wchan") as fh:
+                    if fh.read() == "wait_for_partner":
+                        return pid
+            except OSError:
+                continue
+        assert time.monotonic() < deadline, "no child blocked in open"
+        time.sleep(0.02)
+
+
 def damage(path):
     """Swap ``path`` for a copy with one byte flipped mid-file."""
     with open(path, "rb") as fh:
@@ -100,10 +116,12 @@ class Daemon:
         self.children = self.banner["children"]
 
     def stop(self):
-        """SIGTERM; returns the drain report after checking exit 0."""
+        """SIGTERM; returns the drain report after checking exit 0.  The
+        rest of the server's stderr is kept in ``stderr``."""
         self.proc.send_signal(signal.SIGTERM)
         out, err = self.proc.communicate(timeout=EXIT_TIMEOUT_S)
         assert self.proc.returncode == 0, err
+        self.stderr = err
         return json.loads(out.splitlines()[-1])
 
     def kill(self):

@@ -4,9 +4,9 @@ Every test runs the real CLI as a subprocess over a small snapshot and
 checks what only this topology can get wrong: which process answers a
 connection, the combined drain report, the replacement of a killed or
 stopped child, children outliving a killed parent, a snapshot that
-cannot be opened (at start, and by a replacement), the parent's own
-listening sockets, and the flags of the worker pool this topology
-replaced.
+cannot be opened (at start, and by a replacement), a replacement killed
+before it is ready, the parent's own listening sockets, and the flags of
+the worker pool this topology replaced.
 """
 
 import math
@@ -23,13 +23,14 @@ import pytest
 
 from repro import ShardedSegmentDatabase
 from repro.serving import ServeClient
-from repro.serving.prefork import SUMMED
+from repro.serving.prefork import MAX_UNREADY_KILLS, SUMMED
 from repro.workloads import grid_segments, segment_queries
 
 from .forked import (
     BANNER_TIMEOUT_S,
     EXIT_TIMEOUT_S,
     alive,
+    blocked_in_fifo_open,
     damage,
     labels,
     live_children,
@@ -166,6 +167,19 @@ def test_sigterm_of_one_child_is_replaced_and_its_report_kept(serve,
     assert report["queries"] == 2 * len(queries)
 
 
+def _wait_stderr(daemon, text):
+    """The first stderr line of the server that contains ``text``."""
+    deadline = time.monotonic() + BANNER_TIMEOUT_S
+    line = ""
+    while text not in line:
+        ready, _, _ = select.select([daemon.proc.stderr], [], [],
+                                    max(deadline - time.monotonic(), 0.0))
+        assert ready, f"no {text!r} on stderr"
+        line = daemon.proc.stderr.readline()
+        assert line, "the server exited"
+    return line
+
+
 def test_replacement_that_cannot_open_leaves_the_others_serving(
         serve, snapshot, tmp_path):
     directory, queries, expected = snapshot
@@ -177,15 +191,74 @@ def test_replacement_that_cannot_open_leaves_the_others_serving(
     damage(os.path.join(copy, "shard-000.snap"))
     victim, survivor = daemon.children
     os.kill(victim, signal.SIGKILL)
-    deadline = time.monotonic() + BANNER_TIMEOUT_S
-    line = ""
-    while "still serving with 1 of 2 processes" not in line:
-        ready, _, _ = select.select([daemon.proc.stderr], [], [],
-                                    max(deadline - time.monotonic(), 0.0))
-        assert ready, "no report of the failed replacement"
-        line = daemon.proc.stderr.readline()
-        assert line, "the server exited"
+    line = _wait_stderr(daemon, "still serving with 1 of 2 processes")
     assert "SnapshotFormatError" in line
+    assert live_children(daemon.proc.pid) == {survivor}
+    with ServeClient(port=daemon.port) as client:
+        assert client.health()["pid"] == survivor
+        assert labels(client.query_batch(queries)) == expected
+    report = daemon.stop()
+    assert report["drained"] is True
+    assert [w["pid"] for w in report["workers"]] == [survivor]
+
+
+def _fifo_in_place_of(path):
+    """Move ``path`` aside and put a FIFO there: a child opening it
+    blocks, since nothing ever writes."""
+    os.replace(path, path + ".real")
+    os.mkfifo(path)
+
+
+def test_replacement_killed_before_ready_is_replaced(serve, snapshot,
+                                                     tmp_path):
+    """A replacement that a signal kills while it opens the shards has
+    not shown the snapshot to be bad: it is replaced in turn, and the
+    server gets back to N serving processes."""
+    directory, queries, expected = snapshot
+    copy = str(tmp_path / "snap")
+    shutil.copytree(directory, copy)
+    daemon = serve(copy)
+    shard = os.path.join(copy, "shard-000.snap")
+    _fifo_in_place_of(shard)
+    victim, survivor = daemon.children
+    os.kill(victim, signal.SIGKILL)
+    blocked = blocked_in_fifo_open(daemon.proc.pid, daemon.children)
+    os.replace(shard + ".real", shard)  # the next child opens the file
+    os.kill(blocked, signal.SIGKILL)
+    now = daemon.replaced(victim, blocked)
+    assert survivor in now
+    # Connections go only to ready children, in turn: once the
+    # replacement is ready, new connections reach both.
+    deadline = time.monotonic() + BANNER_TIMEOUT_S
+    seen = set()
+    while seen != now:
+        assert time.monotonic() < deadline, "the replacement never served"
+        with ServeClient(port=daemon.port) as client:
+            seen.add(client.health()["pid"])
+            assert labels(client.query_batch(queries)) == expected
+    report = daemon.stop()
+    assert report["drained"] is True
+    assert sorted(w["pid"] for w in report["workers"]) == sorted(now)
+    assert "before it was ready" not in daemon.stderr
+
+
+def test_children_killed_before_ready_are_replaced_a_bounded_number_of_times(
+        serve, snapshot, tmp_path):
+    directory, queries, expected = snapshot
+    copy = str(tmp_path / "snap")
+    shutil.copytree(directory, copy)
+    daemon = serve(copy)
+    _fifo_in_place_of(os.path.join(copy, "shard-000.snap"))
+    victim, survivor = daemon.children
+    os.kill(victim, signal.SIGKILL)
+    known = {victim, survivor}
+    for _ in range(MAX_UNREADY_KILLS + 1):
+        blocked = blocked_in_fifo_open(daemon.proc.pid, known)
+        known.add(blocked)
+        os.kill(blocked, signal.SIGKILL)
+    line = _wait_stderr(daemon, "still serving with 1 of 2 processes")
+    assert (f"killed by signal {signal.SIGKILL.value} "
+            f"({MAX_UNREADY_KILLS + 1} in a row)") in line
     assert live_children(daemon.proc.pid) == {survivor}
     with ServeClient(port=daemon.port) as client:
         assert client.health()["pid"] == survivor
