@@ -33,6 +33,7 @@ the fused margin thins toward parity.  ``E20_N`` / ``E20_QUERIES``
 shrink the workload for CI smoke runs.
 """
 
+import gc
 import os
 import time
 
@@ -101,9 +102,9 @@ def _probe(device, index, queries):
 def run_engine(engine, segments, queries, block=B, check_identity=True):
     """Scalar vs columnar wall-clock for one engine, plus the identity probe."""
     device, _pager, index = build_engine(engine, segments, block)
-    # Warm-up pass so first-touch costs (page materialisation, column
-    # decode, view caches) don't land on either timing.
-    _time_queries(index, queries[: max(1, len(queries) // 8)])
+    # Warm every query once so first-visit costs (page materialisation,
+    # node decodes, view caches) land on neither timed mode.
+    _time_queries(index, queries)
 
     if check_identity:
         sample = queries[:IDENTITY_SAMPLE]
@@ -125,13 +126,17 @@ def run_engine(engine, segments, queries, block=B, check_identity=True):
             )
 
     try:
+        # A collection before each timed mode, so a cyclic-GC pass that
+        # earlier allocation made due is not charged to the next mode.
         kernels.set_vectorized(False)
         scalar_hist = LatencyHistogram(f"e20.{engine}.scalar")
+        gc.collect()
         scalar_elapsed = _time_queries(index, queries, latency=scalar_hist)
 
         kernels.set_vectorized(True)
         reset_filter_stats()
         columnar_hist = LatencyHistogram(f"e20.{engine}.columnar")
+        gc.collect()
         columnar_elapsed = _time_queries(index, queries, latency=columnar_hist)
         stats = filter_stats()
     finally:

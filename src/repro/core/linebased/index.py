@@ -21,6 +21,21 @@ from ...storage.disjoint import DisjointIntervalIndex
 from .pst import BlockedPST, ExternalPST
 
 
+def pst_reaches(metadata: tuple, h) -> bool:
+    """Whether the PST that :meth:`LineBasedIndex.metadata` describes
+    stores a segment reaching height ``h``.
+
+    The PST's own rule for a subtree — enter it only when its routing
+    copy ``v.left``/``v.right`` reaches ``h`` — applied at the root,
+    through the tallest apex height the metadata records, so a caller
+    that holds the metadata rules a PST out without reading it.  Exact:
+    a segment with ``h1 == h`` reaches, and at ``h == 0`` only an empty
+    PST is ruled out.
+    """
+    top_h = metadata[5]  # the field LineBasedIndex.metadata() puts there
+    return top_h is not None and top_h >= h
+
+
 class LineBasedIndex:
     """Query/update index over one line-based segment set."""
 
@@ -68,7 +83,7 @@ class LineBasedIndex:
     def query(self, q: HQuery) -> List[LineBasedSegment]:
         """All stored segments intersecting the parallel query ``q``."""
         with self.pager.operation():
-            hits = self.pst.query(q)
+            hits = self.pst.query(q) if pst_reaches(self.metadata(), q.h) else []
             if q.h == 0:
                 hits.extend(s for _lo, _hi, s in self.on_line.overlap(q.ulo, q.uhi))
         return hits
@@ -117,13 +132,14 @@ class LineBasedIndex:
             self.pst.size,
             self.pst.fanout,
             self.pst._updates_since_rebuild,
+            self.pst.top_h,
             self.on_line.root_pid,
         )
 
     @classmethod
     def attach(cls, pager: Pager, metadata: tuple) -> "LineBasedIndex":
         """Reconstruct a view from :meth:`metadata` (no I/O)."""
-        blocked, pst_root, pst_size, fanout, pending, online_root = metadata
+        blocked, pst_root, pst_size, fanout, pending, top_h, online_root = metadata
         index = cls.__new__(cls)
         index.pager = pager
         index.blocked = blocked
@@ -135,6 +151,7 @@ class LineBasedIndex:
         index.pst.root_pid = pst_root
         index.pst.size = pst_size
         index.pst._updates_since_rebuild = pending
+        index.pst.top_h = top_h
         index.on_line = DisjointIntervalIndex.attach(pager, online_root)
         return index
 
@@ -144,6 +161,7 @@ class LineBasedIndex:
             self.pst._free_subtree(self.pst.root_pid)
             self.pst.root_pid = None
             self.pst.size = 0
+            self.pst.top_h = None
         self.on_line.destroy()
 
     # ------------------------------------------------------------------

@@ -63,8 +63,7 @@ class ChildRef:
 class NodeView:
     """An in-memory view of one PST node (items + routing)."""
 
-    __slots__ = ("pid", "items", "children", "low", "routing_pid",
-                 "_by_height")
+    __slots__ = ("pid", "items", "children", "low", "routing_pid")
 
     def __init__(
         self,
@@ -79,27 +78,10 @@ class NodeView:
         self.children = children
         self.low = low  # separator height: max apex height below this node
         self.routing_pid = routing_pid
-        self._by_height: Optional[Tuple[list, list]] = None
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
-
-    def by_height(self) -> Tuple[list, list]:
-        """``(heights, rows)``: the items' apex heights in ascending order
-        and the item rows they belong to, built on first use.
-
-        The rows reaching height ``h`` are ``rows[bisect_left(heights,
-        h):]``.  Only query paths call this, on the view
-        :func:`read_node_cached` keeps in ``page.views``, so the order
-        is dropped with the view on the page's next write.
-        """
-        order = self._by_height
-        if order is None:
-            items = self.items
-            rows = sorted(range(len(items)), key=lambda i: items[i].h1)
-            order = self._by_height = ([items[i].h1 for i in rows], rows)
-        return order
 
 
 def write_node(

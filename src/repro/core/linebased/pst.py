@@ -66,6 +66,10 @@ class ExternalPST:
         self.fanout = fanout
         self.root_pid: Optional[int] = None
         self.size = 0
+        #: Apex height of the tallest stored segment (``None`` when
+        #: empty): the root's routing copy, kept beside the root pointer
+        #: so a caller can rule the whole tree out without reading it.
+        self.top_h = None
         self._updates_since_rebuild = 0
 
     # ------------------------------------------------------------------
@@ -79,6 +83,11 @@ class ExternalPST:
         fanout: int = 2,
     ) -> "ExternalPST":
         tree = cls(pager, fanout=fanout)
+        tree._load(segments)
+        return tree
+
+    def _load(self, segments: Iterable[LineBasedSegment]) -> None:
+        """Bulk-build this (empty) tree from ``segments``."""
         ordered = sorted(segments, key=_key)
         for s in ordered:
             if s.on_base_line:
@@ -86,10 +95,10 @@ class ExternalPST:
                     f"{s!r} lies on the base line; store it in a "
                     f"DisjointIntervalIndex (see LineBasedIndex)"
                 )
-        tree.size = len(ordered)
+        self.size = len(ordered)
         if ordered:
-            tree.root_pid = tree._build_subtree(ordered)
-        return tree
+            self.root_pid = self._build_subtree(ordered)
+            self.top_h = max(s.h1 for s in ordered)
 
     def _node_capacity(self) -> int:
         return self.pager.device.block_capacity
@@ -202,6 +211,8 @@ class ExternalPST:
         if segment.on_base_line:
             raise ValueError("on-base-line segments go to the on-line index")
         self.size += 1
+        if self.top_h is None or segment.h1 > self.top_h:
+            self.top_h = segment.h1
         if self.root_pid is None:
             self.root_pid = self._build_subtree([segment])
             self._updates_since_rebuild = 0
@@ -309,7 +320,10 @@ class ExternalPST:
         if removed:
             self.pager.crash_point("pst.delete")
             self.size -= 1
+            # The heap property keeps the tallest segment in the root,
+            # which this operation has already read.
             root = read_node(self.pager, self.root_pid)
+            self.top_h = max((s.h1 for s in root.items), default=None)
             if not root.items and root.is_leaf and self.size == 0:
                 free_node(self.pager, root)
                 self.root_pid = None
@@ -397,9 +411,12 @@ class ExternalPST:
         """Assert the heap property, band consistency and routing copies."""
         if self.root_pid is None:
             assert self.size == 0
+            assert self.top_h is None, f"top_h {self.top_h} on an empty tree"
             return
         count = self._check_subtree(self.root_pid)
         assert count == self.size, f"size mismatch: {count} != {self.size}"
+        tallest = max((s.h1 for s in self.all_segments()), default=None)
+        assert self.top_h == tallest, f"top_h stale: {self.top_h} != {tallest}"
 
     def _check_subtree(self, pid: int) -> int:
         node = read_node(self.pager, pid)
@@ -444,11 +461,5 @@ class BlockedPST(ExternalPST):
         cls, pager: Pager, segments: Iterable[LineBasedSegment]
     ) -> "BlockedPST":
         tree = cls(pager)
-        ordered = sorted(segments, key=_key)
-        for s in ordered:
-            if s.on_base_line:
-                raise ValueError("on-base-line segments go to the on-line index")
-        tree.size = len(ordered)
-        if ordered:
-            tree.root_pid = tree._build_subtree(ordered)
+        tree._load(segments)
         return tree

@@ -36,7 +36,7 @@ from ...geometry import (
 from ...geometry.kernels import page_query_hits
 from ...iosim import Pager, StorageError
 from ...storage.disjoint import DisjointIntervalIndex
-from ..linebased.index import LineBasedIndex
+from ..linebased.index import LineBasedIndex, pst_reaches
 
 #: BB[alpha] balance parameter: a child may hold at most (1 - ALPHA) of its
 #: parent's weight, which counts every segment in the parent's subtree,
@@ -260,17 +260,22 @@ class TwoLevelBinaryIndex:
                 if q.x == c:
                     self._report_on_line_node(page, q, out)
                     return out
-                with tagged("PST"):
-                    if q.x < c:
-                        frame = self._frame(page, "left")
-                        hits = self._lr_index_cached(page, "l").query(frame.to_hquery(q))
-                        out.extend(h.payload for h in hits)
-                        pid = page.get_header("left")
-                    else:
-                        frame = self._frame(page, "right")
-                        hits = self._lr_index_cached(page, "r").query(frame.to_hquery(q))
-                        out.extend(h.payload for h in hits)
-                        pid = page.get_header("right")
+                # h as the side's frame measures it: a PST whose tallest
+                # segment stays below h is skipped before any read.
+                if q.x < c:
+                    if pst_reaches(page.get_header("l_meta"), c - q.x):
+                        with tagged("PST"):
+                            frame = self._frame(page, "left")
+                            hits = self._lr_index_cached(page, "l").query(frame.to_hquery(q))
+                            out.extend(h.payload for h in hits)
+                    pid = page.get_header("left")
+                else:
+                    if pst_reaches(page.get_header("r_meta"), q.x - c):
+                        with tagged("PST"):
+                            frame = self._frame(page, "right")
+                            hits = self._lr_index_cached(page, "r").query(frame.to_hquery(q))
+                            out.extend(h.payload for h in hits)
+                    pid = page.get_header("right")
 
     def query_batch(self, queries: Iterable[VerticalQuery]) -> List[List[Segment]]:
         """Answer many VS queries with one shared descent of the tree.
@@ -327,19 +332,23 @@ class TwoLevelBinaryIndex:
             for i in on_line:
                 with self.pager.operation():
                     self._report_on_line_node(page, queries[i], out[i])
-            if lefts:
+            meta = page.get_header("l_meta")
+            reach = [i for i in lefts if pst_reaches(meta, c - queries[i].x)]
+            if reach:
                 l_index = self._lr_index_cached(page, "l")
                 frame = self._frame(page, "left")
                 with tagged("PST"):
-                    for i in lefts:
+                    for i in reach:
                         with self.pager.operation():
                             hits = l_index.query(frame.to_hquery(queries[i]))
                         out[i].extend(h.payload for h in hits)
-            if rights:
+            meta = page.get_header("r_meta")
+            reach = [i for i in rights if pst_reaches(meta, queries[i].x - c)]
+            if reach:
                 r_index = self._lr_index_cached(page, "r")
                 frame = self._frame(page, "right")
                 with tagged("PST"):
-                    for i in rights:
+                    for i in reach:
                         with self.pager.operation():
                             hits = r_index.query(frame.to_hquery(queries[i]))
                         out[i].extend(h.payload for h in hits)
@@ -357,8 +366,10 @@ class TwoLevelBinaryIndex:
             for _lo, _hi, s in c_index.overlap(q.ylo, q.yhi):
                 seen[s.label] = s
         h0 = HQuery(0, q.ylo, q.yhi)
-        with tagged("PST"):
-            for side in ("l", "r"):
+        for side in ("l", "r"):
+            if not pst_reaches(page.get_header(f"{side}_meta"), 0):
+                continue  # an empty PST
+            with tagged("PST"):
                 for hit in self._lr_index_cached(page, side).query(h0):
                     seen[hit.payload.label] = hit.payload  # crossers occur twice
         out.extend(seen.values())

@@ -29,7 +29,7 @@ from ...geometry.kernels import page_query_hits
 from ...iosim import Pager
 from ...storage.chain import PageChain
 from ...storage.disjoint import DisjointIntervalIndex
-from ..linebased.index import LineBasedIndex
+from ..linebased.index import LineBasedIndex, pst_reaches
 from .gtree import GTree
 from .slabs import boundary_index, choose_boundaries, slab_of, split_segment
 
@@ -358,17 +358,7 @@ class TwoLevelIntervalIndex:
                     self._report_on_boundary(view, i, q, out)
                     break
                 k = slab_of(view.boundaries, q.x)
-                with tagged("short-PST"):
-                    if k >= 1:
-                        frame = self._frame(view, view.boundaries[k - 1], "right")
-                        r_index = self._lr_index_cached(view, view.r_metas[k - 1])
-                        for hit in r_index.query(frame.to_hquery(q)):
-                            out[hit.payload.label] = hit.payload
-                    if k < len(view.boundaries):
-                        frame = self._frame(view, view.boundaries[k], "left")
-                        l_index = self._lr_index_cached(view, view.l_metas[k])
-                        for hit in l_index.query(frame.to_hquery(q)):
-                            out[hit.payload.label] = hit.payload
+                self._report_short(view, k, q, out)
                 pid = view.children[k]
         return list(out.values())
 
@@ -451,24 +441,37 @@ class TwoLevelIntervalIndex:
                         self._report_on_boundary(view, bi, q, out)
                         continue  # the search stops on a boundary line
                     k = slab_of(boundaries, q.x)
-                    with tagged("short-PST"):
-                        if k >= 1:
-                            frame = self._frame(view, boundaries[k - 1], "right")
-                            r_index = self._lr_index_cached(
-                                view, view.r_metas[k - 1]
-                            )
-                            for hit in r_index.query(frame.to_hquery(q)):
-                                out[hit.payload.label] = hit.payload
-                        if k < len(boundaries):
-                            frame = self._frame(view, boundaries[k], "left")
-                            l_index = self._lr_index_cached(view, view.l_metas[k])
-                            for hit in l_index.query(frame.to_hquery(q)):
-                                out[hit.payload.label] = hit.payload
+                    self._report_short(view, k, q, out)
                 per_slab.setdefault(k, []).append(i)
             for k in sorted(per_slab):
                 self._query_group(
                     view.children[k], per_slab[k], queries, outs, use_bridges
                 )
+
+    def _report_short(self, view: _NodeView, k: int, q: VerticalQuery, out: Dict) -> None:
+        """Search the short fragments hanging into slab ``k``: ``R_k`` off
+        its left boundary and ``L_{k+1}`` off its right one.  A PST whose
+        tallest fragment stays below the query's distance from its line
+        (``h`` as that side's frame measures it) is skipped before any
+        read."""
+        tagged = self.pager.device.tagged
+        boundaries = view.boundaries
+        if k >= 1:
+            c = boundaries[k - 1]
+            meta = view.r_metas[k - 1]
+            if pst_reaches(meta, q.x - c):
+                with tagged("short-PST"):
+                    hq = self._frame(view, c, "right").to_hquery(q)
+                    for hit in self._lr_index_cached(view, meta).query(hq):
+                        out[hit.payload.label] = hit.payload
+        if k < len(boundaries):
+            c = boundaries[k]
+            meta = view.l_metas[k]
+            if pst_reaches(meta, c - q.x):
+                with tagged("short-PST"):
+                    hq = self._frame(view, c, "left").to_hquery(q)
+                    for hit in self._lr_index_cached(view, meta).query(hq):
+                        out[hit.payload.label] = hit.payload
 
     def _report_on_boundary(self, view: _NodeView, i: int, q: VerticalQuery, out: Dict) -> None:
         """The query lies exactly on boundary ``s_i``: search C_i, L_i, R_i
@@ -479,12 +482,14 @@ class TwoLevelIntervalIndex:
             c_index = self._c_index_cached(view, i)
             for _lo, _hi, s in c_index.overlap(q.ylo, q.yhi):
                 out[s.label] = s
-        h0 = self._frame(view, view.boundaries[i - 1], "left").to_hquery(q)
-        with tagged("short-PST"):
-            for hit in self._lr_index_cached(view, view.l_metas[i - 1]).query(h0):
-                out[hit.payload.label] = hit.payload
-            for hit in self._lr_index_cached(view, view.r_metas[i - 1]).query(h0):
-                out[hit.payload.label] = hit.payload
+        c = view.boundaries[i - 1]
+        for meta in (view.l_metas[i - 1], view.r_metas[i - 1]):
+            if not pst_reaches(meta, 0):
+                continue  # an empty PST
+            with tagged("short-PST"):
+                h0 = self._frame(view, c, "left").to_hquery(q)
+                for hit in self._lr_index_cached(view, meta).query(h0):
+                    out[hit.payload.label] = hit.payload
 
     # ------------------------------------------------------------------
     # insertion (semi-dynamic)

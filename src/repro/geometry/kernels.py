@@ -47,7 +47,6 @@ every row.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Optional, Sequence, Tuple
 
 from . import filtered
@@ -238,13 +237,16 @@ def page_classify_summary(node, query) -> Optional[Tuple[list,
     """``(hit_rows, last_left_row, first_right_row)`` for one PST node.
 
     ``node`` is a PST node view
-    (:class:`repro.core.linebased.node.NodeView`): its ``items`` in base
-    order, and ``by_height()`` to find the rows that reach
-    ``query.h``.  Non-crossing segments keep their base order at every
-    height, so those rows run LEFT, then HIT, then RIGHT.  Two binary
-    searches over them find the first row not LEFT of ``ulo`` and the
-    first row RIGHT of ``uhi``, one filtered ``compare_u_at`` per
-    probe: at most ``2*ceil(log2(k + 1))`` compares when ``k`` rows
+    (:class:`repro.core.linebased.node.NodeView`) with its ``items`` in
+    base order; one pass over their apex heights picks the rows that
+    reach ``query.h``.  On the engines' query paths at least one row
+    does: a child is entered only when its routing copy reaches ``h``,
+    and a root only when the PST's tallest height does.  Non-crossing
+    segments keep their base order at every height, so those rows run
+    LEFT, then HIT, then RIGHT.  Two binary searches over them find the
+    first row not LEFT of ``ulo`` and the first row RIGHT of ``uhi``,
+    one filtered ``compare_u_at`` per probe: at most
+    ``2*ceil(log2(k + 1))`` compares when ``k`` rows
     reach ``h``, against up to two per reaching row for a per-row pass.
     The rows in between are the HITs; their two neighbours are the
     tightest witnesses, which carry the same final bounds as absorbing
@@ -257,10 +259,9 @@ def page_classify_summary(node, query) -> Optional[Tuple[list,
     if filtered.exact_only_enabled():
         return None
     h = query.h
-    heights, rows = node.by_height()
-    reach = sorted(rows[bisect_left(heights, h):])
-    k = len(reach)
     items = node.items
+    reach = [i for i, s in enumerate(items) if s.h1 >= h]
+    k = len(reach)
     hb, lob, hib = query.balls()
     ulo, uhi = query.ulo, query.uhi
     lo = 0

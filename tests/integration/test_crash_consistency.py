@@ -228,7 +228,7 @@ def test_pst_insert_crash_points(point):
         seg = LineBasedSegment(3000 + 2 * i, 3000 + 2 * i, 50 + i,
                                label=("p", i))
         oracle = _pst_labels(pst)
-        state = (pst.root_pid, pst.size, pst._updates_since_rebuild)
+        state = (pst.root_pid, pst.size, pst._updates_since_rebuild, pst.top_h)
         try:
             with device.journaled():
                 with pst.pager.operation():
@@ -236,7 +236,7 @@ def test_pst_insert_crash_points(point):
         except SimulatedCrash:
             fired = True
             device.rollback_journal()
-            pst.root_pid, pst.size, pst._updates_since_rebuild = state
+            pst.root_pid, pst.size, pst._updates_since_rebuild, pst.top_h = state
             assert _pst_labels(pst) == oracle, f"{point}: not pre-op"
             pst.check_invariants()
             with device.journaled():
@@ -254,7 +254,7 @@ def test_pst_delete_crash_point():
     fired = False
     for victim in victims[:50]:
         oracle = _pst_labels(pst)
-        state = (pst.root_pid, pst.size, pst._updates_since_rebuild)
+        state = (pst.root_pid, pst.size, pst._updates_since_rebuild, pst.top_h)
         try:
             with device.journaled():
                 with pst.pager.operation():
@@ -262,7 +262,7 @@ def test_pst_delete_crash_point():
         except SimulatedCrash:
             fired = True
             device.rollback_journal()
-            pst.root_pid, pst.size, pst._updates_since_rebuild = state
+            pst.root_pid, pst.size, pst._updates_since_rebuild, pst.top_h = state
             assert _pst_labels(pst) == oracle, "pst.delete: not pre-op"
             pst.check_invariants()
             with device.journaled():
