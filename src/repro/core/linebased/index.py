@@ -21,19 +21,23 @@ from ...storage.disjoint import DisjointIntervalIndex
 from .pst import BlockedPST, ExternalPST
 
 
-def pst_reaches(metadata: tuple, h) -> bool:
-    """Whether the PST that :meth:`LineBasedIndex.metadata` describes
-    stores a segment reaching height ``h``.
+def reaches(top_h, h) -> bool:
+    """Whether a PST whose tallest stored apex height is ``top_h``
+    (``None`` when it is empty) stores a segment reaching height ``h``.
 
     The PST's own rule for a subtree — enter it only when its routing
-    copy ``v.left``/``v.right`` reaches ``h`` — applied at the root,
-    through the tallest apex height the metadata records, so a caller
-    that holds the metadata rules a PST out without reading it.  Exact:
-    a segment with ``h1 == h`` reaches, and at ``h == 0`` only an empty
-    PST is ruled out.
+    copy ``v.left``/``v.right`` reaches ``h`` — applied at the root.
+    Exact: a segment with ``h1 == h`` reaches, and at ``h == 0`` only an
+    empty PST is ruled out.
     """
-    top_h = metadata[5]  # the field LineBasedIndex.metadata() puts there
     return top_h is not None and top_h >= h
+
+
+def pst_reaches(metadata: tuple, h) -> bool:
+    """:func:`reaches` for the PST that :meth:`LineBasedIndex.metadata`
+    describes, through the tallest apex height it records, so a caller
+    that holds the metadata rules a PST out without reading it."""
+    return reaches(metadata[5], h)  # the field metadata() puts there
 
 
 class LineBasedIndex:
@@ -83,7 +87,7 @@ class LineBasedIndex:
     def query(self, q: HQuery) -> List[LineBasedSegment]:
         """All stored segments intersecting the parallel query ``q``."""
         with self.pager.operation():
-            hits = self.pst.query(q) if pst_reaches(self.metadata(), q.h) else []
+            hits = self.pst.query(q) if reaches(self.pst.top_h, q.h) else []
             if q.h == 0:
                 hits.extend(s for _lo, _hi, s in self.on_line.overlap(q.ulo, q.uhi))
         return hits

@@ -386,10 +386,8 @@ class TwoLevelBinaryIndex:
             if self.root_pid is None:
                 self.root_pid = self._write_leaf([segment])
                 return
-            path: List[Tuple[Optional[int], Optional[str]]] = []
+            path: List[Tuple[int, Optional[str]]] = []
             pid = self.root_pid
-            parent_pid: Optional[int] = None
-            parent_side: Optional[str] = None
             while True:
                 with tagged("first-level"):
                     page = self.pager.fetch(pid)
@@ -399,17 +397,19 @@ class TwoLevelBinaryIndex:
                 if page.get_header("kind") == "leaf":
                     # Leaves are not on the rebalance path: an overflowing
                     # leaf is rebuilt (and freed) right here.
+                    parent_pid, parent_side = path[-1] if path else (None, None)
                     with tagged("leaf"):
                         self._insert_into_leaf(page, segment, parent_pid, parent_side)
                     break
-                path.append((pid, parent_pid, parent_side))
                 c = page.get_header("x")
                 if segment.spans_x(c):
+                    path.append((pid, None))
                     with tagged("second-level"):
                         self._insert_at_node(page, segment, c)
                     break
-                parent_pid, parent_side = pid, ("left" if segment.xmax < c else "right")
-                pid = page.get_header(parent_side)
+                side = "left" if segment.xmax < c else "right"
+                path.append((pid, side))
+                pid = page.get_header(side)
             with tagged("rebuild"):
                 self._rebalance_path(path)
 
@@ -462,10 +462,8 @@ class TwoLevelBinaryIndex:
             return False
         tagged = self.pager.device.tagged
         with self.pager.operation():
-            path = []
+            path: List[Tuple[int, Optional[str]]] = []
             pid = self.root_pid
-            parent_pid: Optional[int] = None
-            parent_side: Optional[str] = None
             removed = False
             while True:
                 with tagged("first-level"):
@@ -478,18 +476,19 @@ class TwoLevelBinaryIndex:
                             page.set_header("weight", page.get_header("weight") - 1)
                             self.pager.write(page)
                     break
-                path.append((pid, parent_pid, parent_side))
                 c = page.get_header("x")
                 if segment.spans_x(c):
+                    path.append((pid, None))
                     with tagged("second-level"):
                         removed = self._delete_at_node(page, segment, c)
                     break
-                parent_pid, parent_side = pid, ("left" if segment.xmax < c else "right")
-                pid = page.get_header(parent_side)
+                side = "left" if segment.xmax < c else "right"
+                path.append((pid, side))
+                pid = page.get_header(side)
             if removed:
                 self.size -= 1
                 with tagged("first-level"):
-                    for node_pid, _pp, _ps in path:
+                    for node_pid, _side in path:
                         node = self.pager.fetch(node_pid)
                         node.set_header("weight", node.get_header("weight") - 1)
                         self.pager.write(node)
@@ -530,14 +529,27 @@ class TwoLevelBinaryIndex:
     # balance maintenance
     # ------------------------------------------------------------------
     def _rebalance_path(self, path) -> None:
-        """Rebuild the topmost BB[α]-violating subtree on the update path."""
-        for pid, parent_pid, parent_side in path:
+        """Rebuild the topmost BB[α]-violating subtree on the update path.
+
+        ``path`` lists ``(pid, side)`` from the root down, ``side`` naming
+        the child the update entered, ``None`` at the node where it
+        stopped.  The weights come from pages the update already holds:
+        the entered child's from its own page (pinned by the descent, or
+        written by a leaf rebuild), the sibling's as ``weight − here −
+        w_child``, the identity ``_check_subtree`` asserts.  At the
+        stopping node neither child was entered, so the check reads the
+        left one; it cannot skip that node even after an insert, because
+        ``bb_balanced`` is not monotone in the weight (a node of weight
+        ``BALANCE_SLACK`` is exempt, one more is not).
+        """
+        parent_pid = parent_side = None
+        for pid, side in path:
             page = self.pager.fetch(pid)
-            left = self.pager.fetch(page.get_header("left"))
-            right = self.pager.fetch(page.get_header("right"))
-            if bb_balanced(page.get_header("weight"),
-                           left.get_header("weight"),
-                           right.get_header("weight")):
+            weight = page.get_header("weight")
+            child = self.pager.fetch(page.get_header(side or "left"))
+            w_child = child.get_header("weight")
+            if bb_balanced(weight, w_child, weight - page.get_header("here") - w_child):
+                parent_pid, parent_side = pid, side
                 continue
             segments = self._collect(pid)
             self._destroy_subtree(pid)

@@ -40,18 +40,29 @@ IMBALANCE_FACTOR = 4
 LEAF_PAGES = 2
 
 
-def slabs_balanced(weight: int, child_weights: List[int], capacity: int) -> bool:
-    """The balance predicate at a node of ``weight`` segments (those stored
-    at the node included): no child holding more than one block holds
-    more than ``IMBALANCE_FACTOR`` times its fair share ``weight / fan-out``.
+def slab_fits(weight: int, children: int, child_weight: int, capacity: int) -> bool:
+    """The balance predicate for one child of a node of ``weight``
+    segments (those stored at the node included) and ``children``
+    children: a child holding more than one block holds at most
+    ``IMBALANCE_FACTOR`` times its fair share ``weight / children``.  A
+    node is slab-balanced when its heaviest child fits.
 
     A fresh build cuts slabs at endpoint quantiles, so no child holds
-    more than about ``weight / fan-out`` segments: every freshly built
-    node passes, and a rebuild needs Ω(weight / fan-out) insertions into
-    one slab.
+    more than about ``weight / children`` segments: every freshly built
+    node passes, and a rebuild needs Ω(weight / children) insertions
+    into one slab.
+
+    An insertion need only check the child it entered at each node of
+    its path.  Every node passed before it: a fresh build as above, and
+    an insertion rebuilds the topmost node on its path that fails and
+    changes no node off its path.  The insertion adds one to the weight
+    of each node on its path and of the child it entered there, and the
+    limit ``max(IMBALANCE_FACTOR·weight/children, B)`` never falls as
+    the weight grows.  So every other child still fits, and at the node
+    where the insertion stopped, whose children did not change, so does
+    every child.
     """
-    fair = weight / len(child_weights)
-    return max(child_weights) <= max(IMBALANCE_FACTOR * fair, capacity)
+    return child_weight <= max(IMBALANCE_FACTOR * (weight / children), capacity)
 
 
 class _NodeView:
@@ -503,10 +514,8 @@ class TwoLevelIntervalIndex:
             if self.root_pid is None:
                 self.root_pid = self._write_leaf([segment])
                 return
-            path: List[Tuple[int, Optional[int], Optional[int]]] = []
+            path: List[Tuple[int, int]] = []
             pid = self.root_pid
-            parent_pid: Optional[int] = None
-            parent_slot: Optional[int] = None
             while True:
                 with tagged("first-level"):
                     head = self.pager.fetch(pid)
@@ -514,10 +523,10 @@ class TwoLevelIntervalIndex:
                     self.pager.write(head)
                 self.pager.crash_point("solution2.insert.descent")
                 if head.get_header("kind") == "leaf":
+                    parent_pid, parent_slot = path[-1] if path else (None, None)
                     with tagged("leaf"):
                         self._insert_into_leaf(pid, segment, parent_pid, parent_slot)
                     break
-                path.append((pid, parent_pid, parent_slot))
                 with tagged("first-level"):
                     view = self._read_view(pid)
                 split = split_segment(view.boundaries, segment)
@@ -526,7 +535,7 @@ class TwoLevelIntervalIndex:
                         self._insert_at_node(view, split, segment)
                     break
                 k = slab_of(view.boundaries, segment.xmin)
-                parent_pid, parent_slot = pid, k
+                path.append((pid, k))
                 pid = view.children[k]
             with tagged("rebuild"):
                 self._rebalance_path(path)
@@ -601,15 +610,22 @@ class TwoLevelIntervalIndex:
     # balance maintenance
     # ------------------------------------------------------------------
     def _rebalance_path(self, path) -> None:
-        """Rebuild the topmost unbalanced subtree on the insertion path."""
+        """Rebuild the topmost unbalanced subtree on the insertion path.
+
+        ``path`` lists ``(pid, slot)`` from the root down for every node
+        whose child ``slot`` the insertion entered.  Only that child is
+        checked (:func:`slab_fits` says why that suffices), from its head
+        page, which the descent pinned or a leaf rebuild wrote, so the
+        check reads nothing.
+        """
         capacity = self.pager.device.block_capacity
-        for pid, parent_pid, parent_slot in path:
+        parent_pid = parent_slot = None
+        for pid, slot in path:
             view = self._read_view(pid)
-            weights = [
-                self.pager.fetch(child).get_header("weight")
-                for child in view.children
-            ]
-            if slabs_balanced(view.head.get_header("weight"), weights, capacity):
+            child = self.pager.fetch(view.children[slot])
+            if slab_fits(view.head.get_header("weight"), len(view.children),
+                         child.get_header("weight"), capacity):
+                parent_pid, parent_slot = pid, slot
                 continue
             segments = self._collect(pid)
             self._destroy_subtree(pid)
@@ -775,7 +791,8 @@ class TwoLevelIntervalIndex:
         ]
         count = len(here) + sum(weights)
         assert count == head.get_header("weight"), f"weight stale at {pid}"
-        assert slabs_balanced(count, weights, self.pager.device.block_capacity), (
+        assert slab_fits(count, len(weights), max(weights),
+                         self.pager.device.block_capacity), (
             f"slab balance violated at {pid}: children {weights} of weight "
             f"{count}")
         return count

@@ -12,7 +12,7 @@ in blocks).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, Iterator, List
 
 from ..telemetry import trace as _trace
 from .errors import DanglingPageError, DoubleFreeError

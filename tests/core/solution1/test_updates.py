@@ -138,6 +138,20 @@ def replacement(old, version, rng, cell=100):
                                label=("r", old.label[1], version))
 
 
+def ends_at_leaf(index, segment):
+    """Whether an update of ``segment`` descends to a leaf, rather than
+    stopping at a node whose base line it meets."""
+    pid = index.root_pid
+    while True:
+        page = index.pager.fetch(pid)
+        if page.get_header("kind") == "leaf":
+            return True
+        c = page.get_header("x")
+        if segment.spans_x(c):
+            return False
+        pid = page.get_header("left" if segment.xmax < c else "right")
+
+
 def skewed(count, x0=10**6):
     """Disjoint horizontal segments marching right of all the data."""
     return [Segment.from_coords(x0 + 10 * i, 0, x0 + 10 * i + 5, 0,
@@ -182,10 +196,41 @@ class TestBalance:
         extra = skewed(300)
         for s in extra:
             index.insert(s)
-        assert dev.tag_writes.get("rebuild", 0) > 0
-        index.check_invariants()
+            index.check_invariants()
+        inserted = dev.tag_writes.get("rebuild", 0)
+        assert inserted > 0
+        # Deleting the leftmost segments skews the tree the other way.
+        for s in sorted(segments, key=lambda s: s.xmin)[:300]:
+            assert index.delete(s)
+            index.check_invariants()
+        assert dev.tag_writes.get("rebuild", 0) > inserted
         q = VerticalQuery.line(extra[150].xmin + 1)
         assert [s.label for s in index.query(q)] == [("skew", 150)]
+
+    def test_balance_check_reads_at_most_one_page(self):
+        """Each node's weights come from pages the update holds: the
+        entered child's page and the identity weight = here + wl + wr.
+        Only a node where the update stopped has no child on the path,
+        and its check reads one."""
+        segments = grid_segments_touching(2048, seed=2)
+        dev, _p, index = build(segments, capacity=64)
+        rng = random.Random(5)
+        current = {s.label[1]: s for s in segments}
+        cells = sorted(current)
+        ended = {True: 0, False: 0}
+        for version in range(200):
+            cell = cells[rng.randrange(len(cells))]
+            new = replacement(current[cell], version, rng)
+            for update, s in ((index.delete, current[cell]), (index.insert, new)):
+                at_leaf = ends_at_leaf(index, s)
+                before = dev.tag_reads.get("rebuild", 0)
+                update(s)
+                assert dev.tag_reads.get("rebuild", 0) - before <= (0 if at_leaf else 1)
+                ended[at_leaf] += 1
+            current[cell] = new
+        assert ended[True] and ended[False]
+        assert dev.tag_writes.get("rebuild", 0) == 0
+        index.check_invariants()
 
     def test_check_invariants_asserts_balance(self, monkeypatch):
         _d, _p, index = build(grid_segments_touching(512, seed=3), capacity=8)

@@ -143,14 +143,39 @@ class TestBalance:
                 everything, q)
 
     def test_skewed_inserts_still_rebuild(self):
-        dev, _p, index = build(grid_segments_touching(600, seed=3), capacity=32)
-        extra = skewed(600)
-        for s in extra:
-            index.insert(s)
-        assert dev.tag_writes.get("rebuild", 0) > 0
+        # At B=8 the default fan-out B/4 = 2 gives a node three children,
+        # none of which can outweigh 4·weight/3, so that run widens the
+        # fan-out to let the balance check fail.
+        for capacity, fanout in ((8, 4), (32, None)):
+            dev, _p, index = build(grid_segments_touching(600, seed=3),
+                                   capacity=capacity, fanout=fanout)
+            extra = skewed(600)
+            for s in extra:
+                index.insert(s)
+                index.check_invariants()
+            assert dev.tag_writes.get("rebuild", 0) > 0
+            q = VerticalQuery.line(extra[300].xmin + 1)
+            assert [s.label for s in index.query(q)] == [("skew", 300)]
+
+    def test_balance_check_reads_nothing(self):
+        """An insertion checks only the child it entered at each node, on
+        the head page its descent holds, so a stream that triggers no
+        rebuild reads nothing for balance."""
+        segments = grid_segments_touching(4096, seed=1)
+        dev, _p, index = build(segments, capacity=64)
+        width = max(s.xmax for s in segments)
+        rng = random.Random(6)
+        for i in range(100):
+            x = rng.randrange(0, width)
+            if i % 4 == 0:  # wide: stops at a node high up
+                length = rng.randrange(width // 4, width // 2)
+            else:
+                length = rng.randrange(1, 200)
+            index.insert(Segment.from_coords(x, -(5 + i), x + length, -(5 + i),
+                                             label=("ins", i)))
+        assert dev.tag_writes.get("rebuild", 0) == 0
+        assert dev.tag_reads.get("rebuild", 0) == 0
         index.check_invariants()
-        q = VerticalQuery.line(extra[300].xmin + 1)
-        assert [s.label for s in index.query(q)] == [("skew", 300)]
 
     def test_check_invariants_asserts_balance(self, monkeypatch):
         _d, _p, index = build(grid_segments_touching(600, seed=3), capacity=32)
