@@ -1,112 +1,18 @@
 """Command-line entry point: ``python -m repro <command>``.
 
-Commands
---------
-``demo``            run a small end-to-end demonstration
-``engines``         list available engines with their cost profiles
-``query FILE X [YLO YHI]``
-                    load segments from a TSV file (see
-                    ``repro.workloads.files``) and run one vertical query
-``explain FILE X [YLO YHI]``
-                    run one vertical query traced and print its cost
-                    anatomy (per-phase I/O breakdown; ``--json`` for the
-                    structured report)
-``query-batch FILE``
-                    generate a query workload against FILE and run it
-                    through ``query_batch``, comparing batched I/Os per
-                    query with the sequential loop (``--count N`` queries,
-                    ``--batch-size K``, ``--seed S``; ``--json`` for the
-                    structured summary)
-``validate FILE``   check a segment file for NCT violations
-``chaos [FILE]``    run a fault-injection suite: for each seed, replay a
-                    query/insert workload on a faulty device next to a
-                    clean twin and fail on any silently wrong answer
-                    (``--seeds N``, ``--seed S``, ``--count N`` queries,
-                    ``--updates N`` inserts, ``--read-err R``,
-                    ``--corrupt-rate R``, ``--torn R``, ``--retries K``,
-                    ``--dump-schedule PATH`` to save the injected-fault
-                    log, ``--json``); without FILE a generated workload
-                    is used
-``fsck [FILE]``     build an index, optionally apply ``--updates N``
-                    random inserts and corrupt ``--corrupt-pages K``
-                    pages, then run the integrity checker (checksum scan
-                    + deep structural verify); exits nonzero on damage
-``serve-bench [FILE]``
-                    build an x-sharded database, snapshot it to disk,
-                    re-open it and replay a query workload through the
-                    serving layer in this process, reporting snapshot
-                    save/open times, queries/sec, latency percentiles
-                    and per-shard I/O (``--shards K``,
-                    ``--segments N`` to size the generated workload,
-                    ``--count N`` queries, ``--batch-size K``,
-                    ``--seed S``, ``--dir PATH`` to keep the snapshot
-                    directory, ``--trace PATH`` to export the run as
-                    Chrome-trace-event/Perfetto JSON, ``--slow-ms T`` to
-                    arm the slow-query log at T milliseconds, ``--json``)
-``serve [DIR|FILE]``
-                    long-lived serving daemon: open a sharded snapshot
-                    directory (or build one from FILE / ``--segments N``
-                    generated segments) and serve ``query_batch`` over
-                    TCP with request batching and admission control;
-                    prints a JSON ready line with the bound port, then
-                    serves until SIGTERM/SIGINT and exits 0 with a JSON
-                    drain report (``--workers N`` — N forked processes
-                    behind the one port, each answering whole requests
-                    over its own copy of the shards; 0, the default,
-                    answers in this process; ``--host H``, ``--port P``
-                    — 0 picks a free port, ``--max-pending`` (per
-                    serving process) / ``--max-batch`` for the batcher,
-                    ``--dir PATH`` to keep a generated snapshot)
-``serve-client --port P [FILE]``
-                    batched client for ``serve``: replay a generated (or
-                    FILE-loaded) query workload against a running daemon
-                    and report throughput (``--count N``,
-                    ``--batch-size K``, ``--seed S``,
-                    ``--connect-timeout S`` / ``--request-timeout S``
-                    socket deadlines, ``--retries K`` jittered reconnect
-                    attempts, ``--deadline-ms T`` server-side per-request
-                    deadline, ``--json``); connection failures exit 1
-                    with a one-line typed error, never a traceback
-``chaos-serve [FILE]``
-                    run the serving chaos suite: for each seed, serve a
-                    snapshot from an in-process daemon behind a
-                    fault-injecting TCP proxy (delayed/truncated/
-                    corrupted frames, resets), and check every response
-                    against a fault-free oracle — exact or a typed
-                    error; exits nonzero on any silently wrong answer
-                    (``--seeds N``, ``--seed S``,
-                    ``--frame-corrupt R``, ``--frame-truncate R``,
-                    ``--frame-delay R``, ``--conn-reset R``,
-                    ``--deadline-ms T``, ``--dump-schedule PATH``,
-                    ``--json``; with no rates given a default fault mix
-                    is applied)
-``health --port P`` probe a running ``serve`` daemon: the answering
-                    process, admission-queue depth, drain state,
-                    reject/deadline counters and quarantined shards
-                    (``--json`` for the full structure)
-``trace [FILE]``    run a small serving workload wall-traced and write a
-                    Chrome-trace-event/Perfetto JSON timeline (open it at
-                    https://ui.perfetto.dev or ``chrome://tracing``);
-                    same flags as ``serve-bench``, output defaults to
-                    ``trace.json`` (``--out PATH`` to change it)
-``version``         print the library version
-
-``query``, ``query-batch`` and ``explain`` accept ``--engine NAME``
-(default solution2), ``--buffer N`` (put an N-page LRU buffer pool under
-the engine and report its hit rate) and ``--block B`` (block capacity,
-default 64).
-
-Every command accepts ``--exact-only``: disable the floating-point
-fast path of the filtered arithmetic kernel and run every geometric
-comparison on exact rationals (equivalent to ``REPRO_EXACT_ONLY=1``;
-results are identical either way — the fast path only takes certified
-decisions).
+``python -m repro --help`` lists the commands; ``python -m repro
+<command> --help`` lists the flags that command takes.
 """
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
 from fractions import Fraction
+
+from repro import ENGINES
+from repro.geometry import exact_only_enabled, set_exact_only
 
 ENGINE_NOTES = {
     "solution1": "Theorem 1 — O(n) space, O(log2 n·log_B n + t) query, dynamic",
@@ -118,86 +24,37 @@ ENGINE_NOTES = {
 }
 
 
-def _coord(token: str):
+def rational(token: str):
+    """A coordinate: an integer or ``p/q``."""
     if "/" in token:
         num, den = token.split("/", 1)
         return Fraction(int(num), int(den))
     return int(token)
 
 
-_INT_FLAGS = ("--buffer", "--block", "--batch-size", "--count", "--seed",
-              "--seeds", "--updates", "--corrupt-pages", "--retries",
-              "--shards", "--workers", "--segments", "--port",
-              "--max-pending", "--max-batch")
-_FLOAT_FLAGS = ("--read-err", "--corrupt-rate", "--torn", "--slow-ms",
-                "--connect-timeout", "--request-timeout", "--deadline-ms",
-                "--frame-corrupt", "--frame-truncate", "--frame-delay",
-                "--conn-reset")
-_STR_FLAGS = ("--engine", "--dump-schedule", "--dir", "--trace", "--out",
-              "--host")
-
-
-def _pop_flags(args):
-    """Split ``args`` into positional tokens and recognised ``--`` flags."""
-    positional = []
-    flags = {"engine": "solution2", "buffer": None, "block": 64, "json": False,
-             "batch-size": None, "count": 64, "seed": 0,
-             "seeds": 5, "updates": 0, "corrupt-pages": 0, "retries": 3,
-             "read-err": 0.0, "corrupt-rate": 0.0, "torn": 0.0,
-             "dump-schedule": None, "shards": 2, "workers": 0,
-             "segments": 0, "dir": None, "trace": None, "out": None,
-             "slow-ms": None, "host": "127.0.0.1", "port": 0,
-             "max-pending": 64, "max-batch": 64,
-             "connect-timeout": 5.0, "request-timeout": 30.0,
-             "deadline-ms": None, "frame-corrupt": 0.0, "frame-truncate": 0.0,
-             "frame-delay": 0.0, "conn-reset": 0.0}
-    i = 0
-    while i < len(args):
-        token = args[i]
-        if token == "--json":
-            flags["json"] = True
-        elif token in _INT_FLAGS + _FLOAT_FLAGS + _STR_FLAGS:
-            if i + 1 >= len(args):
-                raise ValueError(f"{token} needs a value")
-            value = args[i + 1]
-            if token in _STR_FLAGS:
-                flags[token[2:]] = value
-            elif token in _FLOAT_FLAGS:
-                flags[token[2:]] = float(value)
-            else:
-                flags[token[2:]] = int(value)
-            i += 1
-        elif token.startswith("--"):
-            raise ValueError(f"unknown flag {token!r}")
-        else:
-            positional.append(token)
-        i += 1
-    return positional, flags
-
-
-def _load_db(path: str, flags):
+def _load_db(args):
+    """The segments of ``FILE`` and a database built over them."""
     from repro import SegmentDatabase
     from repro.workloads.files import load
 
-    segments = load(path)
-    return SegmentDatabase.bulk_load(
+    segments = load(args.file)
+    return segments, SegmentDatabase.bulk_load(
         segments,
-        engine=flags["engine"],
-        block_capacity=flags["block"],
-        buffer_pages=flags["buffer"],
+        engine=args.engine,
+        block_capacity=args.block,
+        buffer_pages=args.buffer,
     )
 
 
-def _parse_query(positional):
+def _parse_query(args):
     from repro import VerticalQuery
 
-    x = _coord(positional[1])
-    if len(positional) == 4:
-        return VerticalQuery.segment(x, _coord(positional[2]), _coord(positional[3]))
-    return VerticalQuery.line(x)
+    if args.yhi is not None:
+        return VerticalQuery.segment(args.x, args.ylo, args.yhi)
+    return VerticalQuery.line(args.x)
 
 
-def cmd_demo() -> int:
+def cmd_demo(_args) -> int:
     from repro import Segment, SegmentDatabase, VerticalQuery
 
     segments = [
@@ -215,26 +72,22 @@ def cmd_demo() -> int:
     return 0
 
 
-def cmd_engines() -> int:
-    from repro import ENGINES
-
+def cmd_engines(_args) -> int:
     for engine in ENGINES:
         print(f"{engine:>12}  {ENGINE_NOTES[engine]}")
     return 0
 
 
+def cmd_version(_args) -> int:
+    from repro import __version__
+
+    print(__version__)
+    return 0
+
+
 def cmd_query(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) not in (2, 4):
-        print("usage: python -m repro query FILE X [YLO YHI] "
-              "[--engine NAME] [--buffer N] [--block B]", file=sys.stderr)
-        return 2
-    db = _load_db(positional[0], flags)
-    hits = db.query(_parse_query(positional))
+    _segments, db = _load_db(args)
+    hits = db.query(_parse_query(args))
     for s in sorted(hits, key=lambda s: str(s.label)):
         print(s.label)
     summary = (f"# {len(hits)} of {len(db)} segments; "
@@ -246,29 +99,11 @@ def cmd_query(args) -> int:
 
 
 def cmd_query_batch(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) != 1:
-        print("usage: python -m repro query-batch FILE [--count N] "
-              "[--batch-size K] [--seed S] [--engine NAME] [--buffer N] "
-              "[--block B] [--json]", file=sys.stderr)
-        return 2
-    from repro import SegmentDatabase
-    from repro.workloads.files import load
     from repro.workloads.queries import segment_queries
 
-    segments = load(positional[0])
-    db = SegmentDatabase.bulk_load(
-        segments,
-        engine=flags["engine"],
-        block_capacity=flags["block"],
-        buffer_pages=flags["buffer"],
-    )
-    queries = segment_queries(segments, flags["count"], seed=flags["seed"])
-    batch_size = flags["batch-size"] or len(queries)
+    segments, db = _load_db(args)
+    queries = segment_queries(segments, args.count, seed=args.seed)
+    batch_size = args.batch_size or len(queries)
 
     db.reset_io_stats()
     sequential = [db.query(q) for q in queries]
@@ -283,7 +118,7 @@ def cmd_query_batch(args) -> int:
     n = len(queries)
     results = sum(len(r) for r in batched)
     summary = {
-        "engine": flags["engine"],
+        "engine": args.engine,
         "queries": n,
         "batch_size": batch_size,
         "results": results,
@@ -294,12 +129,12 @@ def cmd_query_batch(args) -> int:
         "io_speedup": (seq_io / bat_io) if bat_io else None,
         "buffer_hit_rate": db.buffer_hit_rate,
     }
-    if flags["json"]:
+    if args.json:
         import json
 
         print(json.dumps(summary, indent=2))
         return 0
-    print(f"# {n} queries, batch size {batch_size}, engine {flags['engine']}")
+    print(f"# {n} queries, batch size {batch_size}, engine {args.engine}")
     print(f"# sequential: {seq_io} I/Os "
           f"({summary['sequential_ios_per_query']:.2f}/query)")
     speedup = (f", amortization {summary['io_speedup']:.2f}x"
@@ -313,19 +148,9 @@ def cmd_query_batch(args) -> int:
 
 
 def cmd_explain(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) not in (2, 4):
-        print("usage: python -m repro explain FILE X [YLO YHI] "
-              "[--engine NAME] [--buffer N] [--block B] [--json]",
-              file=sys.stderr)
-        return 2
-    db = _load_db(positional[0], flags)
-    report = db.explain(_parse_query(positional))
-    if flags["json"]:
+    _segments, db = _load_db(args)
+    report = db.explain(_parse_query(args))
+    if args.json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2, default=str))
@@ -334,15 +159,16 @@ def cmd_explain(args) -> int:
     return 0
 
 
-def _workload_segments(positional, flags):
-    """Segments for the robustness commands: FILE if given, else generated."""
-    if positional:
+def _workload_segments(path, count: int, seed: int):
+    """Segments from the file at ``path``, or ``count`` generated NCT
+    segments when no path is given."""
+    if path:
         from repro.workloads.files import load
 
-        return load(positional[0])
+        return load(path)
     from repro.workloads.nct_random import grid_segments
 
-    return grid_segments(300, seed=flags["seed"])
+    return grid_segments(count, seed=seed)
 
 
 def _fresh_segments(n: int, seed: int):
@@ -360,7 +186,7 @@ def _fresh_segments(n: int, seed: int):
     return out
 
 
-def _run_chaos_seed(segments, seed, flags):
+def _run_chaos_seed(segments, seed, args):
     """One chaos round: faulty device vs clean twin, same workload."""
     from repro import SegmentDatabase, SimulatedCrash
     from repro.iosim import FaultSchedule, RetryPolicy, StorageError
@@ -368,20 +194,20 @@ def _run_chaos_seed(segments, seed, flags):
 
     schedule = FaultSchedule(
         seed=seed,
-        read_error_rate=flags["read-err"],
-        corrupt_read_rate=flags["corrupt-rate"],
-        torn_write_rate=flags["torn"],
+        read_error_rate=args.read_err,
+        corrupt_read_rate=args.corrupt_rate,
+        torn_write_rate=args.torn,
     )
     db = SegmentDatabase.bulk_load(
-        segments, engine=flags["engine"], block_capacity=flags["block"],
-        faults=schedule, retry=RetryPolicy(max_retries=flags["retries"]),
+        segments, engine=args.engine, block_capacity=args.block,
+        faults=schedule, retry=RetryPolicy(max_retries=args.retries),
     )
     twin = SegmentDatabase.bulk_load(
-        segments, engine=flags["engine"], block_capacity=flags["block"],
+        segments, engine=args.engine, block_capacity=args.block,
     )
-    queries = segment_queries(segments, flags["count"],
+    queries = segment_queries(segments, args.count,
                               selectivity=0.05, seed=seed)
-    inserts = list(_fresh_segments(flags["updates"], seed))
+    inserts = list(_fresh_segments(args.updates, seed))
     every = max(1, len(queries) // max(1, len(inserts))) if inserts else None
 
     stats = {"seed": seed, "queries": len(queries), "exact": 0, "degraded": 0,
@@ -422,28 +248,15 @@ def _run_chaos_seed(segments, seed, flags):
 
 
 def cmd_chaos(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1:
-        print("usage: python -m repro chaos [FILE] [--seeds N] [--seed S] "
-              "[--count N] [--updates N] [--engine NAME] [--block B] "
-              "[--read-err R] [--corrupt-rate R] [--torn R] [--retries K] "
-              "[--dump-schedule PATH] [--json]", file=sys.stderr)
-        return 2
-    if not (flags["read-err"] or flags["corrupt-rate"] or flags["torn"]):
-        flags["read-err"], flags["corrupt-rate"], flags["torn"] = 0.02, 0.01, 0.02
-    if flags["updates"] == 0:
-        flags["updates"] = 8
-    segments = _workload_segments(positional, flags)
+    if not (args.read_err or args.corrupt_rate or args.torn):
+        args.read_err, args.corrupt_rate, args.torn = 0.02, 0.01, 0.02
+    segments = _workload_segments(args.file, 300, args.seed)
 
     rounds = []
     schedules = {}
     silent_wrong = 0
-    for seed in range(flags["seed"], flags["seed"] + flags["seeds"]):
-        stats, schedule, wrong_queries = _run_chaos_seed(segments, seed, flags)
+    for seed in range(args.seed, args.seed + args.seeds):
+        stats, schedule, wrong_queries = _run_chaos_seed(segments, seed, args)
         rounds.append(stats)
         silent_wrong += stats["wrong"]
         schedules[seed] = {
@@ -451,13 +264,13 @@ def cmd_chaos(args) -> int:
             "wrong_queries": wrong_queries,
             "verdict": "FAIL" if stats["wrong"] else "ok",
         }
-    if flags["dump-schedule"]:
+    if args.dump_schedule:
         import json
 
-        with open(flags["dump-schedule"], "w") as fh:
-            json.dump({"engine": flags["engine"], "rounds": schedules}, fh,
+        with open(args.dump_schedule, "w") as fh:
+            json.dump({"engine": args.engine, "rounds": schedules}, fh,
                       indent=2, default=str)
-    if flags["json"]:
+    if args.json:
         import json
 
         print(json.dumps({"rounds": rounds, "silent_wrong": silent_wrong},
@@ -479,34 +292,24 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_fsck(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1:
-        print("usage: python -m repro fsck [FILE] [--engine NAME] [--block B] "
-              "[--updates N] [--corrupt-pages K] [--seed S] [--json]",
-              file=sys.stderr)
-        return 2
     import random as _random
 
     from repro import SegmentDatabase
     from repro.iosim import FaultSchedule
 
-    segments = _workload_segments(positional, flags)
+    segments = _workload_segments(args.file, 300, args.seed)
     db = SegmentDatabase.bulk_load(
-        segments, engine=flags["engine"], block_capacity=flags["block"],
-        faults=FaultSchedule(seed=flags["seed"]),
+        segments, engine=args.engine, block_capacity=args.block,
+        faults=FaultSchedule(seed=args.seed),
     )
-    for seg in _fresh_segments(flags["updates"], flags["seed"]):
+    for seg in _fresh_segments(args.updates, args.seed):
         db.insert(seg)
-    rng = _random.Random(flags["seed"])
+    rng = _random.Random(args.seed)
     live = sorted(p.page_id for p in db.device.iter_pages())
-    for page_id in rng.sample(live, min(flags["corrupt-pages"], len(live))):
+    for page_id in rng.sample(live, min(args.corrupt_pages, len(live))):
         db.device.corrupt_page(page_id)
     report = db.fsck()
-    if flags["json"]:
+    if args.json:
         import json
 
         print(json.dumps(report.to_dict(), indent=2))
@@ -515,8 +318,8 @@ def cmd_fsck(args) -> int:
     return 0 if report.ok else 1
 
 
-def _run_serve_bench(positional, flags) -> int:
-    """Shared body of ``serve-bench`` and ``trace``."""
+def cmd_serve_bench(args) -> int:
+    """``serve-bench``, and ``trace``, which names its output ``--out``."""
     import contextlib
     import os
     import tempfile
@@ -526,40 +329,31 @@ def _run_serve_bench(positional, flags) -> int:
     from repro.telemetry import wall_tracing, write_chrome_trace
     from repro.workloads.queries import segment_queries
 
-    if positional:
-        from repro.workloads.files import load
-
-        segments = load(positional[0])
-    else:
-        from repro.workloads.nct_random import grid_segments
-
-        segments = grid_segments(flags["segments"] or 2000,
-                                 seed=flags["seed"])
-    queries = segment_queries(segments, flags["count"], seed=flags["seed"])
-    batch_size = flags["batch-size"] or len(queries)
-    slow_s = (flags["slow-ms"] / 1000.0
-              if flags["slow-ms"] is not None else None)
+    segments = _workload_segments(args.file, args.segments or 2000, args.seed)
+    queries = segment_queries(segments, args.count, seed=args.seed)
+    batch_size = args.batch_size or len(queries)
+    slow_s = args.slow_ms / 1000.0 if args.slow_ms is not None else None
 
     t0 = time.perf_counter()
     built = ShardedSegmentDatabase.bulk_load(
-        segments, shards=flags["shards"], engine=flags["engine"],
-        block_capacity=flags["block"], buffer_pages=flags["buffer"],
+        segments, shards=args.shards, engine=args.engine,
+        block_capacity=args.block, buffer_pages=args.buffer,
     )
     build_s = time.perf_counter() - t0
 
     trace_info = None
     with contextlib.ExitStack() as stack:
-        directory = flags["dir"] or stack.enter_context(
+        directory = args.dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-serve-"))
         t0 = time.perf_counter()
         built.save(directory)
         save_s = time.perf_counter() - t0
         t0 = time.perf_counter()
         served = ShardedSegmentDatabase.open(
-            directory, buffer_pages=flags["buffer"], slow_query_s=slow_s)
+            directory, buffer_pages=args.buffer, slow_query_s=slow_s)
         open_s = time.perf_counter() - t0
 
-        tracer_cm = (wall_tracing() if flags["trace"]
+        tracer_cm = (wall_tracing() if args.trace
                      else contextlib.nullcontext())
         with tracer_cm as tracer:
             t0 = time.perf_counter()
@@ -581,22 +375,22 @@ def _run_serve_bench(positional, flags) -> int:
                 if served.slow_log is not None else None)
         if tracer is not None:
             doc = write_chrome_trace(
-                flags["trace"], tracer.records, parent_pid=os.getpid(),
+                args.trace, tracer.records, parent_pid=os.getpid(),
                 metadata={
                     "command": "serve-bench",
-                    "engine": flags["engine"],
+                    "engine": args.engine,
                     "shards": built.shard_count,
                     "queries": answered,
                 },
             )
             trace_info = {
-                "path": flags["trace"],
+                "path": args.trace,
                 "trace_id": tracer.trace_id,
                 "events": len(doc["traceEvents"]),
             }
 
     summary = {
-        "engine": flags["engine"],
+        "engine": args.engine,
         "segments": len(segments),
         "shards": built.shard_count,
         "replicated": built.replicated,
@@ -615,13 +409,13 @@ def _run_serve_bench(positional, flags) -> int:
         summary["trace"] = trace_info
     if slow is not None:
         summary["slow_queries"] = slow
-    if flags["json"]:
+    if args.json:
         import json
 
         print(json.dumps(summary, indent=2))
         return 0
     print(f"# {len(segments)} segments, {built.shard_count} shards "
-          f"(+{built.replicated} replicas), engine {flags['engine']}")
+          f"(+{built.replicated} replicas), engine {args.engine}")
     print(f"# build {build_s:.3f}s; snapshot save {save_s:.3f}s, "
           f"open {open_s:.3f}s")
     print(f"# {answered} queries in {serve_s:.3f}s "
@@ -636,14 +430,14 @@ def _run_serve_bench(positional, flags) -> int:
           f"{latency['task_wall_s']:.3f}s")
     if slow is not None:
         print(f"# slow queries: {slow['recorded']} at "
-              f">= {flags['slow-ms']:.1f}ms")
+              f">= {args.slow_ms:.1f}ms")
     if trace_info is not None:
         print(f"# trace: {trace_info['path']} ({trace_info['events']} events, "
               f"trace id {trace_info['trace_id']})")
     return 0
 
 
-def _serve_workload_dir(positional, flags, stack):
+def _serve_workload_dir(args, stack):
     """The snapshot directory ``serve`` runs against.
 
     A positional that is a directory is used as-is (a snapshot saved by
@@ -657,40 +451,20 @@ def _serve_workload_dir(positional, flags, stack):
 
     from repro.serving import ShardedSegmentDatabase
 
-    if positional and os.path.isdir(positional[0]):
-        return positional[0]
-    if positional:
-        from repro.workloads.files import load
-
-        segments = load(positional[0])
-    else:
-        from repro.workloads.nct_random import grid_segments
-
-        segments = grid_segments(flags["segments"] or 2000,
-                                 seed=flags["seed"])
+    if args.file and os.path.isdir(args.file):
+        return args.file
+    segments = _workload_segments(args.file, args.segments or 2000, args.seed)
     built = ShardedSegmentDatabase.bulk_load(
-        segments, shards=flags["shards"], engine=flags["engine"],
-        block_capacity=flags["block"], buffer_pages=flags["buffer"],
+        segments, shards=args.shards, engine=args.engine,
+        block_capacity=args.block, buffer_pages=args.buffer,
     )
-    directory = flags["dir"] or stack.enter_context(
+    directory = args.dir or stack.enter_context(
         tempfile.TemporaryDirectory(prefix="repro-serve-"))
     built.save(directory)
     return directory
 
 
 def cmd_serve(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1 or flags["workers"] < 0:
-        print("usage: python -m repro serve [DIR|FILE] [--workers N] "
-              "[--shards K] [--segments N] [--engine NAME] [--buffer N] "
-              "[--block B] [--host H] [--port P] [--max-pending N] "
-              "[--max-batch N] [--slow-ms T] [--dir PATH] [--seed S]",
-              file=sys.stderr)
-        return 2
     import contextlib
     import json
     import os
@@ -698,38 +472,37 @@ def cmd_serve(args) -> int:
     from repro.serving import (PreforkServer, ServeDaemon,
                                ShardedSegmentDatabase)
 
-    slow_s = (flags["slow-ms"] / 1000.0
-              if flags["slow-ms"] is not None else None)
-    open_kwargs = {"buffer_pages": flags["buffer"], "slow_query_s": slow_s}
-    daemon_kwargs = {"max_pending": flags["max-pending"],
-                     "max_batch": flags["max-batch"]}
+    slow_s = args.slow_ms / 1000.0 if args.slow_ms is not None else None
+    open_kwargs = {"buffer_pages": args.buffer, "slow_query_s": slow_s}
+    daemon_kwargs = {"max_pending": args.max_pending,
+                     "max_batch": args.max_batch}
     with contextlib.ExitStack() as stack:
-        directory = _serve_workload_dir(positional, flags, stack)
+        directory = _serve_workload_dir(args, stack)
 
         def announce(port, shards, pids):
             print(json.dumps({
                 "ready": True,
-                "host": flags["host"],
+                "host": args.host,
                 "port": port,
                 "pid": os.getpid(),
                 "snapshot": directory,
                 "shards": shards,
-                "workers": flags["workers"],
+                "workers": args.workers,
                 "children": pids,
             }), flush=True)
 
-        if flags["workers"] > 0:
+        if args.workers > 0:
             # N forked daemons, each answering whole requests; this
             # process only hands them connections.
-            server = PreforkServer(directory, flags["workers"],
-                                   host=flags["host"], port=flags["port"],
+            server = PreforkServer(directory, args.workers,
+                                   host=args.host, port=args.port,
                                    open_kwargs=open_kwargs,
                                    daemon_kwargs=daemon_kwargs)
             try:
                 server.listen()
             except OSError as exc:
-                print(f"serve: cannot listen on {flags['host']} port "
-                      f"{flags['port']}: {exc}", file=sys.stderr)
+                print(f"serve: cannot listen on {args.host} port "
+                      f"{args.port}: {exc}", file=sys.stderr)
                 return 2
             report = server.run(announce)
             if "error" in report:
@@ -738,8 +511,8 @@ def cmd_serve(args) -> int:
                     return 1
         else:
             served = ShardedSegmentDatabase.open(directory, **open_kwargs)
-            daemon = ServeDaemon(served, host=flags["host"],
-                                 port=flags["port"], **daemon_kwargs)
+            daemon = ServeDaemon(served, host=args.host,
+                                 port=args.port, **daemon_kwargs)
             # Serves until SIGTERM/SIGINT, then drains.
             report = daemon.run(on_ready=lambda: announce(
                 daemon.port, served.shard_count, []))
@@ -748,17 +521,6 @@ def cmd_serve(args) -> int:
 
 
 def cmd_serve_client(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1 or not flags["port"]:
-        print("usage: python -m repro serve-client --port P [FILE] "
-              "[--host H] [--count N] [--batch-size K] [--segments N] "
-              "[--seed S] [--connect-timeout S] [--request-timeout S] "
-              "[--retries K] [--deadline-ms T] [--json]", file=sys.stderr)
-        return 2
     import json
     import time
 
@@ -766,28 +528,20 @@ def cmd_serve_client(args) -> int:
                                ServeRejected)
     from repro.workloads.queries import segment_queries
 
-    if positional:
-        from repro.workloads.files import load
-
-        segments = load(positional[0])
-    else:
-        from repro.workloads.nct_random import grid_segments
-
-        # Mirrors the daemon's generated workload (same flags, same
-        # seed) so the queries land on populated shards.
-        segments = grid_segments(flags["segments"] or 2000,
-                                 seed=flags["seed"])
-    queries = segment_queries(segments, flags["count"], seed=flags["seed"])
-    batch_size = flags["batch-size"] or 8
+    # Mirrors the daemon's generated workload (same flags, same seed) so
+    # the queries land on populated shards.
+    segments = _workload_segments(args.file, args.segments or 2000, args.seed)
+    queries = segment_queries(segments, args.count, seed=args.seed)
+    batch_size = args.batch_size or 8
 
     degraded = 0
     rejected = 0
     try:
-        with ServeClient(host=flags["host"], port=flags["port"],
-                         connect_timeout=flags["connect-timeout"],
-                         request_timeout=flags["request-timeout"],
-                         retries=flags["retries"],
-                         seed=flags["seed"]) as client:
+        with ServeClient(host=args.host, port=args.port,
+                         connect_timeout=args.connect_timeout,
+                         request_timeout=args.request_timeout,
+                         retries=args.retries,
+                         seed=args.seed) as client:
             ping = client.ping()
             t0 = time.perf_counter()
             results = 0
@@ -795,7 +549,7 @@ def cmd_serve_client(args) -> int:
                 try:
                     batch = client.query_batch(
                         queries[start:start + batch_size],
-                        timeout_ms=flags["deadline-ms"])
+                        timeout_ms=args.deadline_ms)
                 except ServeRejected as exc:
                     rejected += 1
                     print(f"# rejected ({exc.error_type}): {exc}",
@@ -824,7 +578,7 @@ def cmd_serve_client(args) -> int:
         "server_batches": stats["metrics"]
         .get("serve.batches", {}).get("value"),
     }
-    if flags["json"]:
+    if args.json:
         print(json.dumps(summary, indent=2))
         return 0
     print(f"# {summary['queries']} queries in {elapsed:.3f}s "
@@ -836,7 +590,7 @@ def cmd_serve_client(args) -> int:
     return 0
 
 
-def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
+def _run_chaos_serve_seed(directory, queries, expected, seed, args):
     """One serving-chaos round: daemon + chaos proxy vs the oracle.
 
     Mirrors ``_run_chaos_seed``'s contract at the RPC layer: every
@@ -851,15 +605,15 @@ def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
 
     schedule = RpcChaosSchedule(
         seed=seed,
-        frame_corrupt_rate=flags["frame-corrupt"],
-        frame_truncate_rate=flags["frame-truncate"],
-        frame_delay_rate=flags["frame-delay"],
-        conn_reset_rate=flags["conn-reset"],
+        frame_corrupt_rate=args.frame_corrupt,
+        frame_truncate_rate=args.frame_truncate,
+        frame_delay_rate=args.frame_delay,
+        conn_reset_rate=args.conn_reset,
     )
     stats = {"seed": seed, "batches": 0, "exact": 0, "typed_errors": 0,
              "wrong": 0}
     wrong_queries = []
-    batch_size = flags["batch-size"] or 8
+    batch_size = args.batch_size or 8
     daemon = ServeDaemon(ShardedSegmentDatabase.open(directory), port=0)
     thread = threading.Thread(
         target=daemon.run, kwargs={"install_signal_handlers": False},
@@ -869,8 +623,8 @@ def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
         raise RuntimeError("daemon did not come up")
     with ChaosProxy("127.0.0.1", daemon.port, schedule) as proxy:
         with ServeClient(port=proxy.port,
-                         connect_timeout=flags["connect-timeout"],
-                         request_timeout=min(flags["request-timeout"], 10.0),
+                         connect_timeout=args.connect_timeout,
+                         request_timeout=min(args.request_timeout, 10.0),
                          retries=4, retry_backoff_s=0.02,
                          seed=seed) as client:
             for start in range(0, len(queries), batch_size):
@@ -879,7 +633,7 @@ def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
                 try:
                     got = client.query_batch(
                         queries[start:start + batch_size],
-                        timeout_ms=flags["deadline-ms"])
+                        timeout_ms=args.deadline_ms)
                 except (ServeRejected, ServeConnectionError):
                     stats["typed_errors"] += 1  # loud: acceptable
                     continue
@@ -902,36 +656,23 @@ def _run_chaos_serve_seed(directory, queries, expected, seed, flags):
 
 
 def cmd_chaos_serve(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1:
-        print("usage: python -m repro chaos-serve [FILE] [--seeds N] "
-              "[--seed S] [--count N] [--batch-size K] [--shards K] "
-              "[--segments N] [--engine NAME] [--block B] "
-              "[--frame-corrupt R] [--frame-truncate R] [--frame-delay R] "
-              "[--conn-reset R] [--deadline-ms T] [--dump-schedule PATH] "
-              "[--json]", file=sys.stderr)
-        return 2
     import contextlib
     import tempfile
 
     from repro.serving import ShardedSegmentDatabase
     from repro.workloads.queries import segment_queries
 
-    if not (flags["frame-corrupt"] or flags["frame-truncate"]
-            or flags["frame-delay"] or flags["conn-reset"]):
-        flags["frame-corrupt"] = 0.05
-        flags["frame-truncate"] = 0.03
-        flags["conn-reset"] = 0.05
-    segments = _workload_segments(positional, flags)
-    queries = segment_queries(segments, flags["count"], seed=flags["seed"])
+    if not (args.frame_corrupt or args.frame_truncate
+            or args.frame_delay or args.conn_reset):
+        args.frame_corrupt = 0.05
+        args.frame_truncate = 0.03
+        args.conn_reset = 0.05
+    segments = _workload_segments(args.file, args.segments or 300, args.seed)
+    queries = segment_queries(segments, args.count, seed=args.seed)
 
     built = ShardedSegmentDatabase.bulk_load(
-        segments, shards=flags["shards"], engine=flags["engine"],
-        block_capacity=flags["block"])
+        segments, shards=args.shards, engine=args.engine,
+        block_capacity=args.block)
     # The oracle: the same batch answered directly, no faults anywhere.
     expected = [sorted(str(s.label) for s in r)
                 for r in built.query_batch(queries)]
@@ -939,12 +680,12 @@ def cmd_chaos_serve(args) -> int:
     schedules = {}
     failures = 0
     with contextlib.ExitStack() as stack:
-        directory = flags["dir"] or stack.enter_context(
+        directory = args.dir or stack.enter_context(
             tempfile.TemporaryDirectory(prefix="repro-chaos-serve-"))
         built.save(directory)
-        for seed in range(flags["seed"], flags["seed"] + flags["seeds"]):
+        for seed in range(args.seed, args.seed + args.seeds):
             stats, schedule, wrong_queries = _run_chaos_serve_seed(
-                directory, queries, expected, seed, flags)
+                directory, queries, expected, seed, args)
             rounds.append(stats)
             failures += stats["wrong"]
             schedules[seed] = {
@@ -952,13 +693,13 @@ def cmd_chaos_serve(args) -> int:
                 "wrong_queries": wrong_queries,
                 "verdict": "FAIL" if stats["wrong"] else "ok",
             }
-    if flags["dump-schedule"]:
+    if args.dump_schedule:
         import json
 
-        with open(flags["dump-schedule"], "w") as fh:
-            json.dump({"engine": flags["engine"], "rounds": schedules}, fh,
+        with open(args.dump_schedule, "w") as fh:
+            json.dump({"engine": args.engine, "rounds": schedules}, fh,
                       indent=2, default=str)
-    if flags["json"]:
+    if args.json:
         import json
 
         print(json.dumps({"rounds": rounds, "failures": failures}, indent=2))
@@ -974,29 +715,19 @@ def cmd_chaos_serve(args) -> int:
 
 
 def cmd_health(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if positional or not flags["port"]:
-        print("usage: python -m repro health --port P [--host H] "
-              "[--connect-timeout S] [--request-timeout S] [--json]",
-              file=sys.stderr)
-        return 2
     import json
 
     from repro.serving import ServeClient, ServeConnectionError
 
     try:
-        with ServeClient(host=flags["host"], port=flags["port"],
-                         connect_timeout=flags["connect-timeout"],
-                         request_timeout=flags["request-timeout"]) as client:
+        with ServeClient(host=args.host, port=args.port,
+                         connect_timeout=args.connect_timeout,
+                         request_timeout=args.request_timeout) as client:
             health = client.health()
     except ServeConnectionError as exc:
         print(f"health: daemon unreachable: {exc}", file=sys.stderr)
         return 1
-    if flags["json"]:
+    if args.json:
         print(json.dumps(health, indent=2))
         return 0
     print(f"# pid={health['pid']} draining={health['draining']} "
@@ -1011,47 +742,12 @@ def cmd_health(args) -> int:
     return 0
 
 
-def cmd_serve_bench(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1 or flags["workers"]:
-        print("usage: python -m repro serve-bench [FILE] [--shards K] "
-              "[--segments N] [--count N] [--batch-size K] "
-              "[--seed S] [--engine NAME] [--buffer N] [--block B] "
-              "[--dir PATH] [--trace PATH] [--slow-ms T] [--json]",
-              file=sys.stderr)
-        return 2
-    return _run_serve_bench(positional, flags)
-
-
-def cmd_trace(args) -> int:
-    try:
-        positional, flags = _pop_flags(args)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if len(positional) > 1 or flags["workers"]:
-        print("usage: python -m repro trace [FILE] [--out PATH] [--shards K] "
-              "[--segments N] [--count N] [--batch-size K] "
-              "[--seed S] [--engine NAME] [--buffer N] [--block B] "
-              "[--slow-ms T] [--json]", file=sys.stderr)
-        return 2
-    flags["trace"] = flags["trace"] or flags["out"] or "trace.json"
-    return _run_serve_bench(positional, flags)
-
-
 def cmd_validate(args) -> int:
-    if len(args) != 1:
-        print("usage: python -m repro validate FILE", file=sys.stderr)
-        return 2
     from repro.geometry import CrossingError
     from repro.workloads.files import load
 
     try:
-        segments = load(args[0], validate=True)
+        segments = load(args.file, validate=True)
     except CrossingError as exc:
         print(f"NOT NCT: {exc}", file=sys.stderr)
         return 1
@@ -1059,52 +755,231 @@ def cmd_validate(args) -> int:
     return 0
 
 
+def _at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
+
+
+def _group(*flags) -> argparse.ArgumentParser:
+    """A parent parser holding ``flags``, each ``(name, add_argument
+    keywords)``, for the subcommands that read them."""
+    group = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    for name, kwargs in flags:
+        group.add_argument(name, **kwargs)
+    return group
+
+
+_EXACT_HELP = ("decide every geometric comparison on exact rationals, as "
+               "REPRO_EXACT_ONLY=1 does; answers are identical either way")
+
+
+def build_parser():
+    """The root parser, and the subcommand parsers by name."""
+    root = argparse.ArgumentParser(
+        prog="python -m repro", allow_abbrev=False,
+        description="Vertical segment queries over non-crossing segments in "
+                    "external memory; each command's --help lists its flags.")
+    root.add_argument("--exact-only", action="store_true", help=_EXACT_HELP)
+    commands = root.add_subparsers(dest="command", metavar="COMMAND",
+                                   title="commands")
+    # Given after the command name it sets what the root's flag sets;
+    # SUPPRESS keeps the subcommand from resetting it when absent.
+    exact = _group(("--exact-only", dict(action="store_true",
+                                         default=argparse.SUPPRESS,
+                                         help=_EXACT_HELP)))
+    json_out = _group(("--json", dict(action="store_true",
+                                      help="print the result as JSON")))
+    engine = _group(
+        ("--engine", dict(choices=ENGINES, default="solution2",
+                          metavar="NAME", help="one of %(choices)s "
+                                               "(default %(default)s)")),
+        ("--block", dict(type=int, default=64, metavar="B",
+                         help="block capacity (default %(default)s)")))
+    buffer = _group(("--buffer", dict(type=int, metavar="N", help=(
+        "put an N-page LRU buffer pool under the engine and report its "
+        "hit rate"))))
+    workload = _group(
+        ("--count", dict(type=int, default=64, metavar="N",
+                         help="queries (default %(default)s)")),
+        ("--seed", dict(type=int, default=0, metavar="S",
+                        help="workload seed (default %(default)s)")))
+    seed = _group(("--seed", dict(type=int, default=0, metavar="S",
+                                  help="seed (default %(default)s)")))
+    batches = _group(("--batch-size", dict(
+        type=int, metavar="K", help="queries per batch (default: all)")))
+    requests = _group(("--batch-size", dict(
+        type=int, metavar="K", help="queries per request (default 8)")))
+    sharded = _group(
+        ("--shards", dict(type=int, default=2, metavar="K",
+                          help="x-shards (default %(default)s)")),
+        ("--dir", dict(metavar="PATH", help=(
+            "keep the snapshot in PATH, not in a temporary directory"))))
+    generated = _group(("--segments", dict(type=int, metavar="N", help=(
+        "segments to generate without FILE (default 2000)"))))
+    slow = _group(("--slow-ms", dict(type=float, metavar="T", help=(
+        "log queries slower than T milliseconds"))))
+    host = _group(("--host", dict(default="127.0.0.1",
+                                  help="address (default %(default)s)")))
+    timeouts = _group(
+        ("--connect-timeout", dict(type=float, default=5.0, metavar="S",
+                                   help="seconds (default %(default)s)")),
+        ("--request-timeout", dict(type=float, default=30.0, metavar="S",
+                                   help="seconds (default %(default)s)")))
+    client = _group(("--port", dict(type=_at_least(1), required=True,
+                                    metavar="P", help="the daemon's port")))
+    deadline = _group(("--deadline-ms", dict(type=float, metavar="T", help=(
+        "server-side deadline per request"))))
+    rounds = _group(
+        ("--seeds", dict(type=int, default=5, metavar="N",
+                         help="rounds, seeded S, S+1, ... (default "
+                              "%(default)s)")),
+        ("--dump-schedule", dict(metavar="PATH", help=(
+            "save each round's injected faults to PATH"))))
+    segment_file = _group(("file", dict(metavar="FILE", help=(
+        "segment file: TSV lines x1 y1 x2 y2 [label], see "
+        "repro.workloads.files"))))
+    optional_file = _group(("file", dict(nargs="?", metavar="FILE", help=(
+        "segment file; segments are generated without one"))))
+    vertical = _group(
+        ("x", dict(type=rational, metavar="X")),
+        ("ylo", dict(type=rational, nargs="?", metavar="YLO")),
+        ("yhi", dict(type=rational, nargs="?", metavar="YHI")))
+
+    def command(name, handler, text, *parents):
+        parser = commands.add_parser(
+            name, help=text, description=text, allow_abbrev=False,
+            parents=[exact, *parents])
+        # No flag looks like a number, so -7/2 or -3 is always a value.
+        parser._negative_number_matcher = re.compile(r"^-\d")
+        parser.set_defaults(handler=handler)
+        return parser
+
+    command("demo", cmd_demo, "run a small end-to-end demonstration")
+    command("engines", cmd_engines, "list the engines and their costs")
+    command("version", cmd_version, "print the library version")
+    command("validate", cmd_validate,
+            "check a segment file for NCT violations", segment_file)
+    command("query", cmd_query,
+            "run one vertical query: the line at X, or the segment from "
+            "(X, YLO) to (X, YHI)", segment_file, vertical, engine, buffer)
+    command("explain", cmd_explain,
+            "run one vertical query traced and print its per-phase I/O "
+            "cost anatomy", segment_file, vertical, engine, buffer, json_out)
+    command("query-batch", cmd_query_batch,
+            "run generated queries through query_batch and compare its "
+            "I/Os per query with the sequential loop's",
+            segment_file, engine, buffer, workload, batches, json_out)
+    sub = command("chaos", cmd_chaos,
+                  "per seed, replay queries and inserts on a faulty device "
+                  "next to a clean twin; exit 1 on any silently wrong "
+                  "answer. With no rate given, reads fail at 0.02, rot at "
+                  "0.01 and writes tear at 0.02",
+                  optional_file, engine, workload, rounds, json_out)
+    sub.add_argument("--updates", type=int, default=8, metavar="N",
+                     help="inserts per round (default %(default)s)")
+    for flag, what in (("--read-err", "transient read errors"),
+                       ("--corrupt-rate", "bit rot on reads"),
+                       ("--torn", "torn writes")):
+        sub.add_argument(flag, type=float, default=0.0, metavar="R",
+                         help=f"rate of {what}")
+    sub.add_argument("--retries", type=int, default=3, metavar="K",
+                     help="read retries (default %(default)s)")
+    sub = command("fsck", cmd_fsck,
+                  "build an index, insert, corrupt pages, then run the "
+                  "checksum scan and deep verify; exit 1 on damage",
+                  optional_file, engine, seed, json_out)
+    sub.add_argument("--updates", type=int, default=0, metavar="N",
+                     help="random inserts before the check")
+    sub.add_argument("--corrupt-pages", type=int, default=0, metavar="K",
+                     help="pages to corrupt before the check")
+    bench = (optional_file, engine, buffer, workload, batches, sharded,
+             generated, slow, json_out)
+    command("serve-bench", cmd_serve_bench,
+            "shard, snapshot and re-open a database, then replay queries "
+            "through it in this process: snapshot times, queries/sec, "
+            "latency percentiles, per-shard I/O", *bench
+            ).add_argument("--trace", metavar="PATH", help=(
+                "write the run as Chrome-trace-event JSON to PATH"))
+    command("trace", cmd_serve_bench,
+            "serve-bench, written as a Chrome-trace-event/Perfetto "
+            "timeline (open it at https://ui.perfetto.dev)", *bench
+            ).add_argument("--out", dest="trace", default="trace.json",
+                           metavar="PATH", help="write the timeline to PATH "
+                                                "(default %(default)s)")
+    sub = command("serve", cmd_serve,
+                  "serve query_batch over TCP from a snapshot directory, "
+                  "or from one built from FILE or generated segments; "
+                  "print a JSON ready line, and a JSON drain report after "
+                  "SIGTERM/SIGINT", engine, buffer, seed, sharded,
+                  generated, slow, host)
+    sub.add_argument("file", nargs="?", metavar="DIR|FILE")
+    sub.add_argument("--workers", type=_at_least(0), default=0, metavar="N",
+                     help="forked serving processes; 0 serves in this one")
+    sub.add_argument("--port", type=int, default=0, metavar="P",
+                     help="0 picks a free port")
+    sub.add_argument("--max-pending", type=int, default=64, metavar="N",
+                     help="admission queue per serving process "
+                          "(default %(default)s)")
+    sub.add_argument("--max-batch", type=int, default=64, metavar="N",
+                     help="requests per batch (default %(default)s)")
+    command("serve-client", cmd_serve_client,
+            "replay queries against a running serve daemon and report "
+            "throughput; a connection failure exits 1 with one line",
+            optional_file, client, host, timeouts, workload, generated,
+            requests, deadline, json_out
+            ).add_argument("--retries", type=int, default=3, metavar="K",
+                           help="reconnect attempts (default %(default)s)")
+    sub = command("chaos-serve", cmd_chaos_serve,
+                  "per seed, serve a snapshot behind a proxy that delays, "
+                  "truncates and corrupts frames and resets connections; "
+                  "exit 1 on any silently wrong answer. With no rate given, "
+                  "frames are corrupted at 0.05 and truncated at 0.03, and "
+                  "connections reset at 0.05",
+                  optional_file, engine, workload, requests, sharded,
+                  timeouts, deadline, rounds, json_out)
+    sub.add_argument("--segments", type=int, metavar="N", help=(
+        "segments to generate without FILE (default 300)"))
+    for flag, what in (("--frame-corrupt", "corrupted frames"),
+                       ("--frame-truncate", "truncated frames"),
+                       ("--frame-delay", "delayed frames"),
+                       ("--conn-reset", "connection resets")):
+        sub.add_argument(flag, type=float, default=0.0, metavar="R",
+                         help=f"rate of {what}")
+    command("health", cmd_health,
+            "probe a running serve daemon: answering process, queue, "
+            "drain state, counters, quarantined shards",
+            client, host, timeouts, json_out)
+    return root, commands.choices
+
+
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--exact-only" in argv:
-        from repro.geometry import set_exact_only
-
-        set_exact_only(True)
-        argv = [a for a in argv if a != "--exact-only"]
-    if not argv:
-        print(__doc__)
-        return 2
-    command, args = argv[0], argv[1:]
-    if command == "demo":
-        return cmd_demo()
-    if command == "engines":
-        return cmd_engines()
-    if command == "query":
-        return cmd_query(args)
-    if command == "query-batch":
-        return cmd_query_batch(args)
-    if command == "explain":
-        return cmd_explain(args)
-    if command == "validate":
-        return cmd_validate(args)
-    if command == "chaos":
-        return cmd_chaos(args)
-    if command == "fsck":
-        return cmd_fsck(args)
-    if command == "serve-bench":
-        return cmd_serve_bench(args)
-    if command == "serve":
-        return cmd_serve(args)
-    if command == "serve-client":
-        return cmd_serve_client(args)
-    if command == "chaos-serve":
-        return cmd_chaos_serve(args)
-    if command == "health":
-        return cmd_health(args)
-    if command == "trace":
-        return cmd_trace(args)
-    if command == "version":
-        from repro import __version__
-
-        print(__version__)
-        return 0
-    print(f"unknown command {command!r}\n{__doc__}", file=sys.stderr)
-    return 2
+    root, commands = build_parser()
+    exact_before = exact_only_enabled()
+    try:
+        try:
+            args, extra = root.parse_known_args(argv)
+            if args.command is None:
+                root.print_help()
+                return 2
+            # Left to the root parser, these would be reported under a
+            # usage line that names no command.
+            if extra:
+                commands[args.command].error(
+                    f"unrecognized arguments: {' '.join(extra)}")
+            if getattr(args, "ylo", None) is not None and args.yhi is None:
+                commands[args.command].error("YLO needs YHI")
+        except SystemExit as exc:  # --help, or a usage error printed
+            return exc.code
+        if args.exact_only:
+            set_exact_only(True)
+        return args.handler(args)
+    finally:
+        set_exact_only(exact_before)
 
 
 if __name__ == "__main__":

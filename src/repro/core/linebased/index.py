@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from ...geometry import HQuery, LineBasedSegment, lb_cross
+from ...geometry import HQuery, LineBasedSegment
 from ...iosim import Pager
 from ...storage.disjoint import DisjointIntervalIndex
 from .pst import BlockedPST, ExternalPST
@@ -43,15 +43,9 @@ def pst_reaches(metadata: tuple, h) -> bool:
 class LineBasedIndex:
     """Query/update index over one line-based segment set."""
 
-    def __init__(
-        self,
-        pager: Pager,
-        blocked: bool = False,
-        validate_inserts: bool = False,
-    ):
+    def __init__(self, pager: Pager, blocked: bool = False):
         self.pager = pager
         self.blocked = blocked
-        self.validate_inserts = validate_inserts
         self.pst: ExternalPST = (
             BlockedPST(pager) if blocked else ExternalPST(pager, fanout=2)
         )
@@ -63,9 +57,8 @@ class LineBasedIndex:
         pager: Pager,
         segments: Iterable[LineBasedSegment],
         blocked: bool = False,
-        validate_inserts: bool = False,
     ) -> "LineBasedIndex":
-        index = cls(pager, blocked=blocked, validate_inserts=validate_inserts)
+        index = cls(pager, blocked=blocked)
         proper = []
         flat = []
         for s in segments:
@@ -104,12 +97,9 @@ class LineBasedIndex:
     # updates
     # ------------------------------------------------------------------
     def insert(self, segment: LineBasedSegment) -> None:
-        """Insert one segment (NCT with the stored set, per the paper's
-        update model; set ``validate_inserts`` to check it — O(N))."""
-        if self.validate_inserts:
-            for other in self.all_segments():
-                if lb_cross(segment, other):
-                    raise ValueError(f"{segment!r} crosses stored {other!r}")
+        """Insert one segment, which must not cross the stored set (the
+        paper's update model; ``SegmentDatabase(validate=True)`` checks
+        it)."""
         with self.pager.operation():
             if segment.on_base_line:
                 lo, hi = min(segment.u0, segment.u1), max(segment.u0, segment.u1)
@@ -147,7 +137,6 @@ class LineBasedIndex:
         index = cls.__new__(cls)
         index.pager = pager
         index.blocked = blocked
-        index.validate_inserts = False
         index.pst = (
             BlockedPST(pager) if blocked else ExternalPST(pager, fanout=fanout)
         )

@@ -599,17 +599,15 @@ class TwoLevelBinaryIndex:
         return self.size
 
     def height(self) -> int:
-        h = 0
-        pid = self.root_pid
-        while pid is not None:
-            h += 1
+        """Levels from the root to the deepest leaf (0 when empty)."""
+        def depth(pid: int) -> int:
             page = self.pager.fetch(pid)
-            pid = (
-                page.get_header("left")
-                if page.get_header("kind") == "node"
-                else None
-            )
-        return h
+            if page.get_header("kind") == "leaf":
+                return 1
+            return 1 + max(depth(page.get_header("left")),
+                           depth(page.get_header("right")))
+
+        return depth(self.root_pid) if self.root_pid is not None else 0
 
     def check_invariants(self, deep: bool = False) -> None:
         """Verify weights, BB[α] balance, segment placement and band

@@ -220,8 +220,10 @@ class GTree:
         chain = PageChain(self.pager, self.directory_pid)
         return [_GNode(*t) for t in chain]
 
-    def _read_nodes_cached(self) -> List[_GNode]:
-        """:meth:`_read_nodes` with the decode memoised on the head page.
+    def read_directory(self) -> List[_GNode]:
+        """The directory for queries: :meth:`_read_nodes` with the decode
+        memoised on the head page.  Batched execution reads it once per
+        group and feeds it to :meth:`query_cached`.
 
         The directory chain is still fetched page by page (identical I/O
         charges); only the tuple->:class:`_GNode` decode is reused.  Any
@@ -276,20 +278,11 @@ class GTree:
         cascading (every level pays a fresh B+-tree search) — the Lemma 4
         baseline for the E6 ablation.
         """
-        nodes = self._read_nodes_cached()
+        nodes = self.read_directory()
         if not nodes:
             return []
         return self.query_cached(nodes, x0, ylo, yhi, use_bridges=use_bridges,
                                  qballs=qballs)
-
-    def read_directory(self) -> List[_GNode]:
-        """Decode the G-node directory once for reuse across a batch group.
-
-        The directory chain is routing metadata shared by every query that
-        reaches the owning first-level node; batched execution reads it a
-        single time per group and feeds it to :meth:`query_cached`.
-        """
-        return self._read_nodes_cached()
 
     def query_cached(
         self, nodes: List[_GNode], x0, ylo, yhi, use_bridges: bool = True,
@@ -321,21 +314,6 @@ class GTree:
             self._query_path(nodes, k, x0, ylo, yhi, use_bridges, qballs,
                              results, seen)
         return results
-
-    def query_group(
-        self, windows: Sequence[Tuple], use_bridges: bool = True
-    ) -> List[List[LongFragment]]:
-        """Answer many ``(x0, ylo, yhi)`` windows with one directory read.
-
-        The per-window path searches (B+-tree descents, cascade hops and
-        reporting scans) remain individual — only the directory decode is
-        amortized, mirroring the shared-descent argument at this level.
-        """
-        nodes = self._read_nodes_cached()
-        return [
-            self.query_cached(nodes, x0, ylo, yhi, use_bridges=use_bridges)
-            for x0, ylo, yhi in windows
-        ]
 
     def _query_path(
         self, nodes, k: int, x0, ylo, yhi, use_bridges: bool, qballs: Tuple,

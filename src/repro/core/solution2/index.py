@@ -687,14 +687,13 @@ class TwoLevelIntervalIndex:
         return self.size
 
     def height(self) -> int:
-        h = 0
-        pid = self.root_pid
-        while pid is not None:
-            h += 1
+        """Levels from the root to the deepest leaf (0 when empty)."""
+        def depth(pid: int) -> int:
             if self._node_kind(pid) == "leaf":
-                break
-            pid = self._read_view(pid).children[0]
-        return h
+                return 1
+            return 1 + max(depth(c) for c in self._read_view(pid).children)
+
+        return depth(self.root_pid) if self.root_pid is not None else 0
 
     def check_invariants(self, deep: bool = False) -> None:
         """Weights, slab balance, placement of every fragment kind, child

@@ -1,17 +1,15 @@
 """Tests for the LineBasedIndex facade (PST + on-line intervals)."""
 
-import pytest
-
 from repro.core.linebased import LineBasedIndex
 from repro.geometry import HQuery, LineBasedSegment, lb_intersects
 from repro.iosim import BlockDevice, Pager
 from repro.workloads import fan, hqueries, with_on_line_segments
 
 
-def build(segments, capacity=8, blocked=False, **kw):
+def build(segments, capacity=8, blocked=False):
     dev = BlockDevice(block_capacity=capacity)
     pager = Pager(dev)
-    index = LineBasedIndex.build(pager, segments, blocked=blocked, **kw)
+    index = LineBasedIndex.build(pager, segments, blocked=blocked)
     return dev, pager, index
 
 
@@ -74,18 +72,6 @@ class TestUpdates:
         assert index.delete(segments[0])
         assert index.delete(segments[1])
         assert len(index) == 0
-
-    def test_validated_insert_rejects_crossing(self):
-        base = [LineBasedSegment(0, 10, 10, label="a")]
-        _d, _p, index = build(base, validate_inserts=True)
-        with pytest.raises(ValueError):
-            index.insert(LineBasedSegment(5, -5, 10, label="crosses"))
-
-    def test_validated_insert_allows_touching(self):
-        base = [LineBasedSegment(0, 10, 10, label="a")]
-        _d, _p, index = build(base, validate_inserts=True)
-        index.insert(LineBasedSegment(0, -10, 10, label="touches"))
-        assert len(index) == 2
 
 
 class TestBlockedVariant:

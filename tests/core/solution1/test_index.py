@@ -161,6 +161,20 @@ class TestQueries:
             s.label for s in segments
         )
 
+    def test_height_is_the_deepest_leaf(self):
+        # Here the deepest leaf is not on the leftmost path.
+        _d, _p, index = build(grid_segments(200, seed=7), capacity=8)
+        deepest, stack = 0, [(index.root_pid, 1)]
+        while stack:
+            pid, depth = stack.pop()
+            page = index.pager.fetch(pid)
+            if page.get_header("kind") == "leaf":
+                deepest = max(deepest, depth)
+            else:
+                stack += [(page.get_header("left"), depth + 1),
+                          (page.get_header("right"), depth + 1)]
+        assert index.height() == deepest == 6
+
 
 @st.composite
 def segments_and_query(draw):

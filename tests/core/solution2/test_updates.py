@@ -157,6 +157,22 @@ class TestBalance:
             q = VerticalQuery.line(extra[300].xmin + 1)
             assert [s.label for s in index.query(q)] == [("skew", 300)]
 
+    def test_height_is_the_deepest_leaf(self):
+        # At B=8 and the default fan-out this stream rebuilds nothing, so
+        # it deepens the rightmost path only.
+        _d, _p, index = build(grid_segments_touching(600, seed=3), capacity=8)
+        fresh = index.height()
+        for s in skewed(600):
+            index.insert(s)
+        deepest, stack = 0, [(index.root_pid, 1)]
+        while stack:
+            pid, depth = stack.pop()
+            if index._node_kind(pid) == "leaf":
+                deepest = max(deepest, depth)
+            else:
+                stack += [(c, depth + 1) for c in index._read_view(pid).children]
+        assert index.height() == deepest > fresh
+
     def test_balance_check_reads_nothing(self):
         """An insertion checks only the child it entered at each node, on
         the head page its descent holds, so a stream that triggers no

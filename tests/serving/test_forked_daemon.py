@@ -343,5 +343,5 @@ def test_worker_pool_flags_are_unknown(snapshot, flag, value):
                           capture_output=True, env=serve_env(), text=True,
                           timeout=EXIT_TIMEOUT_S)
     assert proc.returncode == 2
-    assert f"unknown flag {flag!r}" in proc.stderr
+    assert f"unrecognized arguments: {flag} {value}" in proc.stderr
     assert proc.stdout == ""

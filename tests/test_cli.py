@@ -21,7 +21,87 @@ def test_no_command_prints_usage(capsys):
 
 def test_unknown_command(capsys):
     assert main(["frobnicate"]) == 2
-    assert "unknown command" in capsys.readouterr().err
+    assert "invalid choice: 'frobnicate'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, command, extra", [
+    (["query", "{file}", "5", "--workers", "2"], "query", "--workers"),
+    (["engines", "--bogus"], "engines", "--bogus"),
+    (["demo", "extra"], "demo", "extra"),
+    (["version", "--json"], "version", "--json"),
+    (["query", "{file}", "5", "--eng", "scan"], "query", "--eng"),
+])
+def test_command_refuses_flags_it_does_not_read(segment_file, capsys, argv,
+                                                command, extra):
+    argv = [a.format(file=segment_file) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"usage: python -m repro {command}" in captured.err
+    assert f"unrecognized arguments: {extra}" in captured.err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["query", "{file}", "5", "--engine", "nope"],
+     "invalid choice: 'nope' (choose from 'solution1', 'solution2'"),
+    (["fsck", "--block", "x"], "argument --block: invalid int value: 'x'"),
+    (["query", "{file}", "5", "0"], "YLO needs YHI"),
+    (["serve", "--workers", "-1"], "argument --workers"),
+    (["serve-client", "--port", "0"], "argument --port"),
+    (["health", "--port", "0"], "argument --port"),
+])
+def test_bad_flag_values_are_usage_errors(segment_file, capsys, argv,
+                                          message):
+    assert main([a.format(file=segment_file) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_help(capsys):
+    assert main(["--help"]) == 0
+    out = capsys.readouterr().out
+    assert "--exact-only" in out and "serve-client" in out
+    assert main(["query", "--help"]) == 0
+    out = capsys.readouterr().out
+    assert "usage: python -m repro query" in out
+    assert "--engine" in out and "--buffer" in out
+
+
+def test_negative_coordinates_are_values(segment_file, capsys):
+    assert main(["query", segment_file, "-7/2"]) == 0
+    assert main(["query", segment_file, "25", "-3", "4"]) == 0
+    assert "segments;" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["engines", "--exact-only"],
+    ["--exact-only", "engines"],
+])
+def test_exact_only_before_or_after_command(monkeypatch, argv):
+    import repro.__main__ as cli
+    from repro.geometry import exact_only_enabled
+
+    monkeypatch.setattr("repro.geometry.filtered._exact_only", False)
+    seen = []
+    monkeypatch.setattr(cli, "cmd_engines",
+                        lambda *_: seen.append(exact_only_enabled()) or 0)
+    assert main(argv) == 0
+    assert seen == [True]
+
+
+def test_main_restores_exact_only(monkeypatch, capsys):
+    from repro.geometry import exact_only_enabled
+
+    monkeypatch.setattr("repro.geometry.filtered._exact_only", False)
+    for argv, code in ((["engines", "--exact-only"], 0),
+                       (["--exact-only", "engines", "--bogus"], 2),
+                       (["--exact-only", "--help"], 0)):
+        assert main(argv) == code
+        assert exact_only_enabled() is False, argv
+    monkeypatch.setattr("repro.geometry.filtered._exact_only", True)
+    assert main(["engines"]) == 0
+    assert exact_only_enabled() is True
 
 
 def test_demo(capsys):
@@ -175,6 +255,16 @@ def test_chaos_bad_args(capsys):
     assert "usage" in capsys.readouterr().err
 
 
+def test_chaos_zero_updates(segment_file, capsys):
+    import json
+
+    assert main(["chaos", segment_file, "--seeds", "1", "--count", "4",
+                 "--block", "16", "--updates", "0", "--json"]) == 0
+    (round0,) = json.loads(capsys.readouterr().out)["rounds"]
+    assert round0["updates_applied"] + round0["updates_failed"] \
+        + round0["crashes_recovered"] == 0
+
+
 def test_fsck_clean(segment_file, capsys):
     assert main(["fsck", segment_file, "--block", "16", "--updates", "3"]) == 0
     out = capsys.readouterr().out
@@ -199,7 +289,7 @@ def test_fsck_json(segment_file, capsys):
 
 
 def test_serve_bench_synchronous(capsys):
-    assert main(["serve-bench", "--shards", "2", "--workers", "0",
+    assert main(["serve-bench", "--shards", "2",
                  "--segments", "200", "--count", "12",
                  "--batch-size", "4"]) == 0
     out = capsys.readouterr().out
@@ -262,7 +352,7 @@ def test_trace_command_writes_default_file(tmp_path, capsys, monkeypatch):
     import json
 
     monkeypatch.chdir(tmp_path)
-    assert main(["trace", "--shards", "2", "--workers", "0",
+    assert main(["trace", "--shards", "2",
                  "--segments", "150", "--count", "8"]) == 0
     out = capsys.readouterr().out
     assert "trace.json" in out
@@ -305,7 +395,7 @@ def test_serve_bench_pickle_transport(capsys):
                  "--count", "12", "--transport", "pickle", "--json"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unknown flag '--transport'" in captured.err
+    assert "unrecognized arguments: --transport" in captured.err
 
 
 def test_serve_bench_cache_pages(capsys):
@@ -313,7 +403,7 @@ def test_serve_bench_cache_pages(capsys):
                  "--count", "12", "--cache-pages", "8"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "unknown flag '--cache-pages'" in captured.err
+    assert "unrecognized arguments: --cache-pages" in captured.err
 
 
 def test_serve_client_requires_port(capsys):
@@ -403,6 +493,23 @@ def test_chaos_serve_json_and_dump_schedule(tmp_path, capsys):
 def test_chaos_serve_bad_args(capsys):
     assert main(["chaos-serve", "a", "b"]) == 2
     assert "usage" in capsys.readouterr().err
+
+
+def test_chaos_serve_generates_segments_flag(monkeypatch, capsys):
+    from repro.workloads import nct_random
+
+    sizes = []
+    real = nct_random.grid_segments
+
+    def recording(n, **kwargs):
+        sizes.append(n)
+        return real(n, **kwargs)
+
+    monkeypatch.setattr(nct_random, "grid_segments", recording)
+    assert main(["chaos-serve", "--seeds", "1", "--count", "8",
+                 "--segments", "120"]) == 0
+    assert sizes == [120]
+    assert "never-silently-wrong: PASS" in capsys.readouterr().out
 
 
 def test_health_requires_port(capsys):
