@@ -25,10 +25,14 @@ ENGINE_NOTES = {
 
 
 def rational(token: str):
-    """A coordinate: an integer or ``p/q``."""
+    """A coordinate: an integer or ``p/q`` with ``q != 0``."""
     if "/" in token:
         num, den = token.split("/", 1)
-        return Fraction(int(num), int(den))
+        try:
+            return Fraction(int(num), int(den))
+        except ZeroDivisionError:
+            raise argparse.ArgumentTypeError(
+                f"zero denominator in {token!r}") from None
     return int(token)
 
 

@@ -75,7 +75,6 @@ ALLOWED_GLOBALS = frozenset({
     ("repro.geometry.linebased", "LineBasedSegment"),
     ("repro.core.solution2.gtree", "GEntry"),
     ("repro.core.solution2.slabs", "LongFragment"),
-    ("repro.core.recovery", "DegradedResult"),
 })
 
 

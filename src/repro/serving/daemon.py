@@ -33,9 +33,29 @@ with the database's ``latency_report()`` and ``io_report()`` and, when
 process that answered.
 
 Wire format: 4-byte big-endian frame length, then a pickled dict.
-Inbound frames are decoded with the snapshot layer's *restricted*
-unpickler — a network peer gets the same allowlist a snapshot file gets.
-:class:`ServeClient` is the blocking client used by the CLI and tests.
+Frames are decoded with the snapshot layer's *restricted* unpickler, in
+both directions — a network peer gets the same allowlist a snapshot
+file gets.  A successful ``query`` response sends each answer item at
+most once per connection::
+
+    {"ok": True, "new": [item, ...], "answers": [[index, ...], ...]}
+
+Each connection has an answer table at both ends: the daemon maps each
+item it has sent in full (by identity) to its index, and
+:class:`ServeClient` keeps the items in that order.  ``new`` holds the
+items of this response the connection had not been sent, appended to
+both tables in order; an answer names its items by index, and a degraded
+one (:class:`~repro.core.recovery.DegradedResult`) is sent as
+``(indices, reason, source)``.  Both tables start empty with the
+connection, so any reconnect — after a reset, a truncated or corrupt
+frame, or a retry — starts them afresh.  Once the daemon's table holds
+:data:`MAX_TABLE_ENTRIES` items it clears it and marks the next response
+``"reset": True``, and the client clears its copy before taking ``new``.
+Serving is read-only, so an item never changes while a connection holds
+its index.  ``query_batch`` must return one list of items per query.
+:class:`ServeClient` is the blocking client used by the CLI and tests;
+it returns ``{"ok": True, "results": [...]}`` for a query, the items
+rebuilt into one list per query.
 """
 
 from __future__ import annotations
@@ -52,6 +72,7 @@ from random import Random
 from time import perf_counter
 from typing import Any, Callable, List, Optional
 
+from ..core.recovery import DegradedResult
 from ..iosim import restricted_loads
 from ..telemetry import MetricsRegistry, timed_span
 from .resilience import ServeConnectionError
@@ -61,6 +82,13 @@ _FRAME = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 #: The signals that make a daemon drain.
 STOP_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+#: Items a connection's answer table holds before both ends clear it.
+#: An entry costs about 105 bytes in the daemon (a dict slot, its two
+#: ints and a list slot; the item itself lives in the decoded pages) and
+#: about 690 bytes in the client (a decoded segment and its list slot),
+#: so a full table costs a connection about 1.7 MB in the daemon and
+#: 11 MB in the client.
+MAX_TABLE_ENTRIES = 1 << 14
 
 #: ``error_type`` values a daemon error frame may carry, with whether a
 #: retry can help.  ``overloaded``/``draining`` are transient service
@@ -113,13 +141,52 @@ async def _read_frame(reader: asyncio.StreamReader) -> Any:
     return restricted_loads(payload)
 
 
+class _SentItems:
+    """The daemon's answer table for one connection: each item the
+    connection has been sent in full, by identity.
+
+    ``items`` holds a reference to every item in ``index``, so no other
+    object can take an item's id while the table holds it.
+    """
+
+    def __init__(self):
+        self.index: dict = {}  # id(item) -> its position in items
+        self.items: list = []
+
+    def encode(self, results: List[list]) -> dict:
+        """The ``ok`` response frame for ``results``, one list per query."""
+        response = {"ok": True}
+        if len(self.items) >= MAX_TABLE_ENTRIES:
+            self.index, self.items = {}, []
+            response["reset"] = True
+        index, items = self.index, self.items
+        start = len(items)
+        answers = []
+        for result in results:
+            refs = []
+            for item in result:
+                ref = index.get(id(item))
+                if ref is None:
+                    ref = index[id(item)] = len(items)
+                    items.append(item)
+                refs.append(ref)
+            if isinstance(result, DegradedResult):
+                answers.append((refs, result.reason, result.source))
+            else:
+                answers.append(refs)
+        response["new"] = items[start:]
+        response["answers"] = answers
+        return response
+
+
 class ServeDaemon:
     """Serve ``db.query_batch`` over TCP with batching and backpressure.
 
-    ``db`` is any object with a ``query_batch(queries)`` method — in
-    production a sharded database, in tests whatever stub the scenario
-    needs.  ``port=0`` binds an ephemeral port; the bound port is
-    published on :attr:`port` before :attr:`ready` is set.
+    ``db`` is any object whose ``query_batch(queries)`` returns one list
+    of items per query — in production a sharded database, in tests
+    whatever stub the scenario needs.  ``port=0`` binds an ephemeral
+    port; the bound port is published on :attr:`port` before
+    :attr:`ready` is set.
 
     With ``channel`` (a Unix socket) the daemon listens on nothing: it
     serves the connections whose descriptors arrive on ``channel``
@@ -273,6 +340,7 @@ class ServeDaemon:
                       writer: asyncio.StreamWriter) -> None:
         task = asyncio.current_task()
         self._handlers.add(task)
+        sent = _SentItems()
         try:
             while True:
                 try:
@@ -287,7 +355,7 @@ class ServeDaemon:
                 self._inflight += 1
                 self._idle.clear()
                 try:
-                    response = await self._respond(request)
+                    response = await self._respond(request, sent)
                     writer.write(_encode_frame(response))
                     await writer.drain()
                 finally:
@@ -307,7 +375,7 @@ class ServeDaemon:
                     asyncio.CancelledError):  # pragma: no cover - raced
                 pass
 
-    async def _respond(self, request: Any) -> dict:
+    async def _respond(self, request: Any, sent: _SentItems) -> dict:
         if not isinstance(request, dict):
             return _error("bad-request", "request must be a dict")
         kind = request.get("kind")
@@ -345,7 +413,7 @@ class ServeDaemon:
         self.registry.counter("serve.requests").inc()
         self.registry.counter("serve.queries").inc(len(queries))
         if not queries:
-            return {"ok": True, "results": []}
+            return sent.encode([])
         if self._draining:
             return _error("draining", "draining")
         future = self._loop.create_future()
@@ -371,7 +439,10 @@ class ServeDaemon:
         except Exception as exc:
             return _error("internal", f"query failed: {exc}")
         self.registry.latency("serve.request_s").observe(perf_counter() - t0)
-        return {"ok": True, "results": results}
+        response = sent.encode(results)
+        self.registry.counter("serve.items").inc(sum(map(len, results)))
+        self.registry.counter("serve.items_sent").inc(len(response["new"]))
+        return response
 
     def _health(self) -> dict:
         """The ``health`` frame: daemon liveness plus, when the database
@@ -448,6 +519,14 @@ class ServeDaemon:
         return out
 
 
+def _pick(items: list, refs: list) -> list:
+    """``items`` at the indices ``refs``; raises IndexError on one that
+    ``items`` does not hold, negative ones included."""
+    if refs and min(refs) < 0:
+        raise IndexError(f"negative item index {min(refs)}")
+    return [items[i] for i in refs]
+
+
 class ServeClient:
     """Blocking client for :class:`ServeDaemon` (CLI and tests).
 
@@ -465,6 +544,10 @@ class ServeClient:
     ``timeout`` is the legacy single knob and sets both of the split
     timeouts when given; prefer ``connect_timeout`` (TCP establishment)
     and ``request_timeout`` (per-read) directly.
+
+    The client keeps its end of the connection's answer table (see the
+    module docstring); a response that names an item the connection was
+    never sent is wire damage, a :class:`ServeConnectionError`.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0,
@@ -504,6 +587,7 @@ class ServeClient:
             raise ServeConnectionError(
                 self.host, self.port, f"connect failed: {exc}") from exc
         self._sock.settimeout(self.request_timeout)
+        self._received: list = []  # this connection's answer table
 
     def _drop(self) -> None:
         if self._sock is not None:
@@ -512,9 +596,11 @@ class ServeClient:
             except OSError:  # pragma: no cover - already closed
                 pass
             self._sock = None
+            self._received = []
 
     def request(self, payload: dict) -> dict:
-        """One round trip; returns the response dict verbatim.
+        """One round trip; returns the response dict, a query's answers
+        rebuilt from the answer table as ``results``.
 
         Connection-level failures are retried up to ``retries`` times on
         a fresh connection (jittered exponential backoff between
@@ -558,7 +644,7 @@ class ServeClient:
                 self.host, self.port,
                 str(exc) or type(exc).__name__) from exc
         try:
-            return restricted_loads(data)
+            response = restricted_loads(data)
         except Exception as exc:
             # Corrupted pickle bytes fail in arbitrary ways (truncation,
             # flipped opcodes, allowlist rejections) — all of them mean
@@ -566,6 +652,35 @@ class ServeClient:
             raise ServeConnectionError(
                 self.host, self.port,
                 f"undecodable response frame: {exc!r}") from exc
+        if isinstance(response, dict) and "answers" in response:
+            return self._results(response)
+        return response
+
+    def _results(self, response: dict) -> dict:
+        """Rebuild a query response's answers from the answer table."""
+        received = self._received
+        try:
+            new, answers = response["new"], response["answers"]
+            if type(new) is not list or type(answers) is not list:
+                raise TypeError("new and answers must be lists")
+            if response.get("reset"):
+                received.clear()
+            elif len(received) >= MAX_TABLE_ENTRIES:
+                raise ValueError("a full answer table grew without a reset")
+            received.extend(new)
+            results = []
+            for answer in answers:
+                if type(answer) is tuple:
+                    refs, reason, source = answer
+                    results.append(DegradedResult(_pick(received, refs),
+                                                  reason, source))
+                else:
+                    results.append(_pick(received, answer))
+        except (TypeError, ValueError, LookupError) as exc:
+            raise ServeConnectionError(
+                self.host, self.port,
+                f"malformed answer frame: {exc!r}") from exc
+        return {"ok": True, "results": results}
 
     def _recv_exact(self, n: int) -> bytes:
         chunks = []

@@ -20,7 +20,8 @@ from tests.hostile import hostile_payloads
 
 
 class EchoDB:
-    """query_batch returns each query doubled; records batch sizes.
+    """query_batch answers each query with a one-item list of it doubled;
+    records batch sizes.
 
     With ``gate``, every batch waits for it: requests sent while the
     first batch is held queue up, and coalesce into the next batch.
@@ -40,7 +41,7 @@ class EchoDB:
         if self.delay_s:
             time.sleep(self.delay_s)
         self.batches.append(len(queries))
-        return [q * 2 for q in queries]
+        return [[q * 2] for q in queries]
 
 
 class FailingDB:
@@ -98,7 +99,7 @@ def test_query_round_trip_and_drain_report():
     try:
         with ServeClient(port=daemon.port) as client:
             assert client.ping()["ok"]
-            assert client.query_batch([1, 2, 3]) == [2, 4, 6]
+            assert client.query_batch([1, 2, 3]) == [[2], [4], [6]]
             assert client.query_batch([]) == []
             stats = client.stats()
             assert stats["metrics"]["serve.requests"]["value"] == 2
@@ -134,7 +135,7 @@ def test_concurrent_requests_coalesce_into_batches():
         report = _stop(daemon, thread)
     # Every client got exactly its own slice back, in order.
     for i in range(6):
-        assert results[i] == [2 * i, 2 * (i + 100)], i
+        assert results[i] == [[2 * i], [2 * (i + 100)]], i
     # Coalescing happened: fewer engine batches than requests.
     assert report["batches"] < report["requests"] == 6
     assert db.batches == [2, 10]
@@ -148,7 +149,7 @@ def test_lone_request_is_not_held_back():
     try:
         with ServeClient(port=daemon.port) as client:
             for i in range(50):
-                assert client.query_batch([i]) == [2 * i]
+                assert client.query_batch([i]) == [[2 * i]]
             metrics = client.stats()["metrics"]
     finally:
         _stop(daemon, thread)
@@ -187,7 +188,7 @@ def test_admission_control_rejects_past_max_pending():
     finally:
         gate.set()
         report = _stop(daemon, thread)
-    assert sorted(admitted) == [[0], [2]]
+    assert sorted(admitted) == [[[0]], [[2]]]
     assert report["rejected"] == 1
 
 
@@ -218,7 +219,7 @@ def test_malformed_frame_is_answered_not_fatal():
             assert len(header) == 4
         # Daemon still serves afterwards.
         with ServeClient(port=daemon.port) as client:
-            assert client.query_batch([5]) == [10]
+            assert client.query_batch([5]) == [[10]]
     finally:
         _stop(daemon, thread)
 
@@ -266,7 +267,7 @@ def test_drain_finishes_inflight_work():
     time.sleep(0.05)           # request admitted, engine mid-flight
     report = _stop(daemon, thread)
     t.join(timeout=10)
-    assert result["got"] == [14], "drain dropped an in-flight request"
+    assert result["got"] == [[14]], "drain dropped an in-flight request"
     assert report["drained"] is True
 
 
@@ -306,7 +307,8 @@ def test_serves_a_real_sharded_database(tmp_path):
 
 def test_degraded_answer_of_a_quarantined_index_crosses_the_wire():
     """A quarantined index answers from its scan fallback; the typed
-    DegradedResult reaches the client intact, exact and marked."""
+    DegradedResult reaches the client intact, exact and marked, on the
+    first pass and on the passes that send its segments by reference."""
     from repro import FaultSchedule, SegmentDatabase
 
     segments = grid_segments(240, seed=65)
@@ -319,12 +321,14 @@ def test_degraded_answer_of_a_quarantined_index_crosses_the_wire():
     thread = _start(daemon)
     try:
         with ServeClient(port=daemon.port) as client:
-            got = client.query_batch(queries)
+            passes = [client.query_batch(queries) for _ in range(3)]
     finally:
         _stop(daemon, thread)
-    assert [sorted(s.label for s in r) for r in got] == expected
-    assert all(getattr(r, "degraded", False) for r in got)
-    assert all(r.reason == "damaged for the test" for r in got)
+    for got in passes:
+        assert [sorted(s.label for s in r) for r in got] == expected
+        assert all(getattr(r, "degraded", False) for r in got)
+        assert all(r.reason == "damaged for the test" for r in got)
+        assert all(r.source == "scan-fallback" for r in got)
 
 
 class SlowDB:
@@ -335,7 +339,7 @@ class SlowDB:
 
     def query_batch(self, queries):
         time.sleep(self.delay_s)
-        return [q for q in queries]
+        return [[q] for q in queries]
 
 
 def test_deadline_expiry_is_a_typed_error_and_daemon_survives():
@@ -349,7 +353,7 @@ def test_deadline_expiry_is_a_typed_error_and_daemon_survives():
             assert excinfo.value.retryable is False
             # The daemon is not poisoned by the expired request.
             assert client.ping()["ok"]
-            assert client.query_batch([3], timeout_ms=5000) == [3]
+            assert client.query_batch([3], timeout_ms=5000) == [[3]]
     finally:
         report = _stop(daemon, thread)
     assert report["deadline_expired"] == 1
@@ -457,7 +461,7 @@ def test_drain_answers_every_request_of_a_coalesced_inflight_batch():
     for t in clients:
         t.join(timeout=10)
     for i in range(4):
-        assert results.get(i) == [2 * i, 2 * (i + 10)], i
+        assert results.get(i) == [[2 * i], [2 * (i + 10)]], i
     assert report["drained"] is True
     assert report["batches"] < report["requests"] == 4, \
         "the drain scenario must actually have coalesced"
@@ -472,7 +476,7 @@ def test_queries_that_are_not_a_list_are_a_bad_request():
             assert response["ok"] is False
             assert response["error_type"] == "bad-request"
             assert "queries must be a list" in response["error"]
-            assert client.query_batch([4]) == [8]
+            assert client.query_batch([4]) == [[8]]
     finally:
         _stop(daemon, thread)
 
@@ -502,8 +506,8 @@ def test_a_malformed_request_fails_alone_in_a_coalesced_batch():
     finally:
         gate.set()
         report = _stop(daemon, thread)
-    assert results[0] == [0]
-    assert results[1] == [2 * q for q in range(1, 9)]
+    assert results[0] == [[0]]
+    assert results[1] == [[2 * q] for q in range(1, 9)]
     assert isinstance(results[2], ServeRejected)
     assert results[2].error_type == "internal"
     assert "not a query: 'bad'" in str(results[2])

@@ -58,6 +58,20 @@ def test_bad_flag_values_are_usage_errors(segment_file, capsys, argv,
     assert message in captured.err
 
 
+@pytest.mark.parametrize("coordinates, name", [
+    (["1/0"], "X"),
+    (["5", "-3/0", "4"], "YLO"),
+    (["5", "-3", "4/0"], "YHI"),
+])
+def test_zero_denominator_is_a_usage_error(segment_file, capsys,
+                                           coordinates, name):
+    assert main(["query", segment_file, *coordinates]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage: python -m repro query" in captured.err
+    assert f"argument {name}: zero denominator in" in captured.err
+
+
 def test_help(capsys):
     assert main(["--help"]) == 0
     out = capsys.readouterr().out
