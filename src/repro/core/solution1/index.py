@@ -21,11 +21,23 @@ amortised.  For updates the paper replaces the binary tree with a
 by amortised subtree rebuilds (each rebuild is charged to the insertions
 that unbalanced it — the standard equivalent of rotation-with-secondary-
 structure-rebuild).
+
+Layout.  The first level's internal nodes are *records* (plain tuples,
+fields :data:`X` … :data:`R_META`) packed into supernode pages, each
+holding the top :func:`levels_per_page` levels of a binary subtree, as
+:class:`~repro.core.linebased.pst.BlockedPST` packs Lemma 3's routing.
+A node at depth ``d`` lives in the page rooted at its ancestor of depth
+``⌊d/k⌋·k``; its children are slots of the same page (stored as ``~slot``,
+so negative) or page ids (a leaf page, or a supernode whose root is slot
+0).  A descent therefore reads, and an update's weight changes write,
+one page per ``k`` levels; the node set, every rebuild decision and the
+answers do not depend on ``k``.  Records sit in each page in pre-order,
+so replacing a subtree never moves its ancestors' slots.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from ...geometry import (
     HQuery,
@@ -44,6 +56,22 @@ from ..linebased.index import LineBasedIndex, pst_reaches
 ALPHA = 0.25
 #: Slack before tiny subtrees trigger rebuilds.
 BALANCE_SLACK = 8
+
+#: Fields of a first-level node record: the base line ``x = X``, the two
+#: children, the subtree's weight, the number of segments stored here,
+#: the root of ``C(v)`` and the metadata of ``L(v)`` and ``R(v)``.
+X, LEFT, RIGHT, WEIGHT, HERE, C_ROOT, L_META, R_META = range(8)
+
+
+def levels_per_page(block_capacity: int) -> int:
+    """``k``: the binary levels one first-level page holds.
+
+    The largest ``k`` with ``2^k − 1 ≤ B//4`` records, at least 1.  A
+    record carries about 20 words (two 7-field PST metadata tuples and six
+    words), about four segments' worth, the budget ``BlockedPST`` gives
+    its routing records.
+    """
+    return max(1, (block_capacity // 4 + 1).bit_length() - 1)
 
 
 def bb_balanced(weight: int, wl: int, wr: int) -> bool:
@@ -94,6 +122,7 @@ class TwoLevelBinaryIndex:
     def __init__(self, pager: Pager, blocked: bool = True):
         self.pager = pager
         self.blocked = blocked
+        self.levels = levels_per_page(pager.device.block_capacity)
         self.root_pid: Optional[int] = None
         self.size = 0
 
@@ -108,22 +137,23 @@ class TwoLevelBinaryIndex:
         segments = list(segments)
         index.size = len(segments)
         if segments:
-            index.root_pid = index._build_subtree(segments)
+            index.root_pid = index._place(index._build_subtree(segments))
         return index
 
-    def _build_subtree(self, segments: List[Segment]) -> int:
+    def _build_subtree(self, segments: List[Segment]):
+        """The subtree over ``segments``: a written leaf's page id, or a
+        *draft* of its root — a record as a list whose children are page
+        ids or drafts, which :meth:`_pack` writes into pages."""
         capacity = self.pager.device.block_capacity
         if len(segments) <= capacity:
             return self._write_leaf(segments)
         c = self._median_x(segments)
         here, lefts, rights = self._partition(segments, c)
-        if not lefts and not rights:
-            # Every segment meets the median line; no recursion needed, but
-            # the node must still exist to host C/L/R.
-            pass
-        left_pid = self._build_subtree(lefts) if lefts else self._write_leaf([])
-        right_pid = self._build_subtree(rights) if rights else self._write_leaf([])
-        return self._write_node(c, here, left_pid, right_pid, len(segments))
+        # When every segment meets the median line the children are empty
+        # leaves, but the node must still exist to host C/L/R.
+        left = self._build_subtree(lefts) if lefts else self._write_leaf([])
+        right = self._build_subtree(rights) if rights else self._write_leaf([])
+        return self._draft(c, here, left, right, len(segments))
 
     @staticmethod
     def _median_x(segments: List[Segment]):
@@ -150,9 +180,9 @@ class TwoLevelBinaryIndex:
         self.pager.write(page)
         return page.page_id
 
-    def _write_node(
-        self, c, here: List[Segment], left_pid: int, right_pid: int, weight: int
-    ) -> int:
+    def _draft(self, c, here: List[Segment], left, right, weight: int) -> list:
+        """Build ``C``/``L``/``R`` for the node at line ``c``; returns its
+        draft."""
         on_line: List[Tuple] = []
         left_parts = []
         right_parts = []
@@ -167,75 +197,119 @@ class TwoLevelBinaryIndex:
         c_index = DisjointIntervalIndex.build(self.pager, on_line)
         l_index = LineBasedIndex.build(self.pager, left_parts, blocked=self.blocked)
         r_index = LineBasedIndex.build(self.pager, right_parts, blocked=self.blocked)
+        return [c, left, right, weight, len(here), c_index.root_pid,
+                l_index.metadata(), r_index.metadata()]
 
-        page = self.pager.alloc()
-        page.set_header("kind", "node")
-        page.set_header("x", c)
-        page.set_header("left", left_pid)
-        page.set_header("right", right_pid)
-        page.set_header("weight", weight)
-        page.set_header("here", len(here))
-        page.set_header("c_root", c_index.root_pid)
-        page.set_header("l_meta", l_index.metadata())
-        page.set_header("r_meta", r_index.metadata())
+    def _place(self, node) -> int:
+        """The page id of ``node``: a leaf's own, or a draft packed into
+        fresh pages."""
+        return node if isinstance(node, int) else self._pack(node)
+
+    def _pack(self, root: list, page=None) -> int:
+        """Write draft ``root`` and its descendants down to ``k − 1``
+        levels below it into ``page`` (a fresh one when ``None``), in
+        pre-order from slot 0; deeper drafts get pages of their own.
+        Returns the page id."""
+        if page is None:
+            page = self.pager.alloc()
+            page.set_header("kind", "node")
+        records: List[Optional[tuple]] = []
+
+        def put(node: list, level: int) -> int:
+            slot = len(records)
+            records.append(None)
+            refs = [child if isinstance(child, int)
+                    else ~put(child, level + 1) if level + 1 < self.levels
+                    else self._pack(child)
+                    for child in (node[LEFT], node[RIGHT])]
+            records[slot] = (node[X], refs[0], refs[1], *node[WEIGHT:])
+            return slot
+
+        put(root, 0)
+        page.put_items(records)
         self.pager.write(page)
         return page.page_id
 
     # ------------------------------------------------------------------
     # node access helpers
     # ------------------------------------------------------------------
-    def _c_index(self, page) -> DisjointIntervalIndex:
-        return DisjointIntervalIndex.attach(self.pager, page.get_header("c_root"))
+    def _child(self, page, ref: int):
+        """``(page, slot)`` of the node ``ref`` names from ``page``: a slot
+        of the same page, or slot 0 of the page it names (fetched)."""
+        if ref < 0:
+            return page, ~ref
+        return self.pager.fetch(ref), 0
 
-    def _lr_index(self, page, side: str) -> LineBasedIndex:
-        return LineBasedIndex.attach(self.pager, page.get_header(f"{side}_meta"))
+    def _child_weight(self, page, ref: int) -> int:
+        child, slot = self._child(page, ref)
+        if child.get_header("kind") == "leaf":
+            return child.get_header("weight")
+        return child.items[slot][WEIGHT]
+
+    @staticmethod
+    def _set(page, slot: int, field: int, *values) -> tuple:
+        """Store ``values`` in the record at ``slot`` from ``field`` on,
+        and return the new record (the page still needs writing).
+
+        The tuple is replaced, never edited: a journal's pre-image copies
+        ``page.items`` shallowly, so it keeps the old record."""
+        record = page.items[slot]
+        record = record[:field] + values + record[field + len(values):]
+        page.items[slot] = record
+        return record
+
+    def _c_index(self, record) -> DisjointIntervalIndex:
+        return DisjointIntervalIndex.attach(self.pager, record[C_ROOT])
+
+    def _lr_index(self, record, side: str) -> LineBasedIndex:
+        return LineBasedIndex.attach(
+            self.pager, record[L_META if side == "l" else R_META])
 
     # Read-only paths additionally memoise the attached views on the
-    # page (``page.views``) — the decode is pure and header-driven, and
-    # the cache is dropped on every header write, so a cached view can
-    # never outlive the routing words it decodes.  Update paths must NOT
-    # use these: they mutate the attached object in memory, and a
-    # mid-operation crash rolls the pages back but could not un-mutate a
-    # cached view.  Attached views also bind the pager they charge I/O
-    # through, so the pager is part of the key (a re-attached engine
-    # over the same device must not reuse a view whose operation scopes
-    # live on the old pager).  Queries revisit hot nodes constantly;
-    # re-attaching per visit was a measurable tax.
+    # page (``page.views``), keyed by the record's slot — the decode is
+    # pure and record-driven, and the cache is dropped on every write of
+    # the page, so a cached view can never outlive the record it decodes.
+    # Update paths must NOT use these: they mutate the attached object in
+    # memory, and a mid-operation crash rolls the pages back but could
+    # not un-mutate a cached view.  Attached views also bind the pager
+    # they charge I/O through, so the pager is part of the key (a
+    # re-attached engine over the same device must not reuse a view
+    # whose operation scopes live on the old pager).  Queries revisit hot
+    # nodes constantly; re-attaching per visit was a measurable tax.
 
-    def _c_index_cached(self, page) -> DisjointIntervalIndex:
+    def _c_index_cached(self, page, slot: int) -> DisjointIntervalIndex:
         views = page.views
         if views is None:
             views = page.views = {}
-        key = ("c", self.pager)
+        key = ("c", slot, self.pager)
         index = views.get(key)
         if index is None:
-            index = views[key] = self._c_index(page)
+            index = views[key] = self._c_index(page.items[slot])
         return index
 
-    def _lr_index_cached(self, page, side: str) -> LineBasedIndex:
+    def _lr_index_cached(self, page, slot: int, side: str) -> LineBasedIndex:
         views = page.views
         if views is None:
             views = page.views = {}
-        key = (side, self.pager)
+        key = (side, slot, self.pager)
         index = views.get(key)
         if index is None:
-            index = views[key] = self._lr_index(page, side)
+            index = views[key] = self._lr_index(page.items[slot], side)
         return index
 
-    def _frame(self, page, side: str) -> VerticalBaseFrame:
+    def _frame(self, page, slot: int, side: str) -> VerticalBaseFrame:
         views = page.views
         if views is None:
             views = page.views = {}
-        frame = views.get(("frame", side))
+        key = ("frame", slot, side)
+        frame = views.get(key)
         if frame is None:
-            frame = VerticalBaseFrame(page.get_header("x"), side)
-            views[("frame", side)] = frame
+            frame = views[key] = VerticalBaseFrame(page.items[slot][X], side)
         return frame
 
-    def _sync_node(self, page, c_index, l_index, r_index) -> None:
-        page.set_header("c_root", c_index.root_pid)
-        page.set_header("l_meta", l_index.metadata())
-        page.set_header("r_meta", r_index.metadata())
+    def _sync_node(self, page, slot: int, c_index, l_index, r_index) -> None:
+        self._set(page, slot, C_ROOT, c_index.root_pid, l_index.metadata(),
+                  r_index.metadata())
         self.pager.write(page)
 
     # ------------------------------------------------------------------
@@ -248,46 +322,53 @@ class TwoLevelBinaryIndex:
             return out
         tagged = self.pager.device.tagged
         with self.pager.operation():
-            pid = self.root_pid
+            ref = self.root_pid
             while True:
-                with tagged("first-level"):
-                    page = self.pager.fetch(pid)
-                if page.get_header("kind") == "leaf":
-                    with tagged("leaf"):
-                        out.extend(page_query_hits(page, q))
-                    return out
-                c = page.get_header("x")
+                if ref < 0:
+                    slot = ~ref
+                else:
+                    with tagged("first-level"):
+                        page = self.pager.fetch(ref)
+                    if page.get_header("kind") == "leaf":
+                        with tagged("leaf"):
+                            out.extend(page_query_hits(page, q))
+                        return out
+                    slot = 0
+                record = page.items[slot]
+                c = record[X]
                 if q.x == c:
-                    self._report_on_line_node(page, q, out)
+                    self._report_on_line_node(page, slot, q, out)
                     return out
                 # h as the side's frame measures it: a PST whose tallest
                 # segment stays below h is skipped before any read.
                 if q.x < c:
-                    if pst_reaches(page.get_header("l_meta"), c - q.x):
+                    if pst_reaches(record[L_META], c - q.x):
                         with tagged("PST"):
-                            frame = self._frame(page, "left")
-                            hits = self._lr_index_cached(page, "l").query(frame.to_hquery(q))
+                            frame = self._frame(page, slot, "left")
+                            hits = self._lr_index_cached(page, slot, "l").query(
+                                frame.to_hquery(q))
                             out.extend(h.payload for h in hits)
-                    pid = page.get_header("left")
+                    ref = record[LEFT]
                 else:
-                    if pst_reaches(page.get_header("r_meta"), q.x - c):
+                    if pst_reaches(record[R_META], q.x - c):
                         with tagged("PST"):
-                            frame = self._frame(page, "right")
-                            hits = self._lr_index_cached(page, "r").query(frame.to_hquery(q))
+                            frame = self._frame(page, slot, "right")
+                            hits = self._lr_index_cached(page, slot, "r").query(
+                                frame.to_hquery(q))
                             out.extend(h.payload for h in hits)
-                    pid = page.get_header("right")
+                    ref = record[RIGHT]
 
     def query_batch(self, queries: Iterable[VerticalQuery]) -> List[List[Segment]]:
         """Answer many VS queries with one shared descent of the tree.
 
         The batch is sorted by query ``x`` and routed through the binary
-        tree as *groups*: every first-level node on the union of search
-        paths is fetched exactly once per batch, no matter how many
-        queries pass through it — the ``log`` descent term is paid once
-        per group.  The per-query second-level searches (C / L / R) and
-        the ``+t`` output term are irreducible and stay per-query, each
-        inside its own operation scope so the I/O accounting matches the
-        sequential cost model (no batch-wide dedupe masquerading as
+        tree as *groups*: every first-level page on the union of search
+        paths is fetched (and pinned) exactly once per group, no matter
+        how many queries pass through it — the ``log`` descent term is
+        paid once per group.  The per-query second-level searches (C / L /
+        R) and the ``+t`` output term are irreducible and stay per-query,
+        each inside its own operation scope so the I/O accounting matches
+        the sequential cost model (no batch-wide dedupe masquerading as
         amortization).  Results come back in input order and match
         ``[self.query(q) for q in queries]`` exactly.
         """
@@ -306,7 +387,7 @@ class TwoLevelBinaryIndex:
         queries: List[VerticalQuery],
         out: List[List[Segment]],
     ) -> None:
-        """Route one x-sorted group of queries through the subtree at ``pid``."""
+        """Route one x-sorted group of queries through the page ``pid``."""
         tagged = self.pager.device.tagged
         with tagged("first-level"):
             page = self.pager.fetch(pid)
@@ -317,60 +398,77 @@ class TwoLevelBinaryIndex:
                     for i in group:
                         out[i].extend(page_query_hits(page, queries[i], items))
                 return
-            c = page.get_header("x")
-            on_line: List[int] = []
-            lefts: List[int] = []
-            rights: List[int] = []
-            for i in group:
-                x = queries[i].x
-                if x == c:
-                    on_line.append(i)
-                elif x < c:
-                    lefts.append(i)
-                else:
-                    rights.append(i)
-            for i in on_line:
-                with self.pager.operation():
-                    self._report_on_line_node(page, queries[i], out[i])
-            meta = page.get_header("l_meta")
-            reach = [i for i in lefts if pst_reaches(meta, c - queries[i].x)]
-            if reach:
-                l_index = self._lr_index_cached(page, "l")
-                frame = self._frame(page, "left")
-                with tagged("PST"):
-                    for i in reach:
-                        with self.pager.operation():
-                            hits = l_index.query(frame.to_hquery(queries[i]))
-                        out[i].extend(h.payload for h in hits)
-            meta = page.get_header("r_meta")
-            reach = [i for i in rights if pst_reaches(meta, queries[i].x - c)]
-            if reach:
-                r_index = self._lr_index_cached(page, "r")
-                frame = self._frame(page, "right")
-                with tagged("PST"):
-                    for i in reach:
-                        with self.pager.operation():
-                            hits = r_index.query(frame.to_hquery(queries[i]))
-                        out[i].extend(h.payload for h in hits)
-            if lefts:
-                self._query_group(page.get_header("left"), lefts, queries, out)
-            if rights:
-                self._query_group(page.get_header("right"), rights, queries, out)
+            self._route_group(page, 0, group, queries, out)
 
-    def _report_on_line_node(self, page, q: VerticalQuery, out: List[Segment]) -> None:
+    def _route_group(
+        self,
+        page,
+        slot: int,
+        group: List[int],
+        queries: List[VerticalQuery],
+        out: List[List[Segment]],
+    ) -> None:
+        """Route a group through the record at ``slot`` of the held
+        ``page``, and on through its children."""
+        tagged = self.pager.device.tagged
+        record = page.items[slot]
+        c = record[X]
+        on_line: List[int] = []
+        lefts: List[int] = []
+        rights: List[int] = []
+        for i in group:
+            x = queries[i].x
+            if x == c:
+                on_line.append(i)
+            elif x < c:
+                lefts.append(i)
+            else:
+                rights.append(i)
+        for i in on_line:
+            with self.pager.operation():
+                self._report_on_line_node(page, slot, queries[i], out[i])
+        reach = [i for i in lefts if pst_reaches(record[L_META], c - queries[i].x)]
+        if reach:
+            l_index = self._lr_index_cached(page, slot, "l")
+            frame = self._frame(page, slot, "left")
+            with tagged("PST"):
+                for i in reach:
+                    with self.pager.operation():
+                        hits = l_index.query(frame.to_hquery(queries[i]))
+                    out[i].extend(h.payload for h in hits)
+        reach = [i for i in rights if pst_reaches(record[R_META], queries[i].x - c)]
+        if reach:
+            r_index = self._lr_index_cached(page, slot, "r")
+            frame = self._frame(page, slot, "right")
+            with tagged("PST"):
+                for i in reach:
+                    with self.pager.operation():
+                        hits = r_index.query(frame.to_hquery(queries[i]))
+                    out[i].extend(h.payload for h in hits)
+        for ref, sub in ((record[LEFT], lefts), (record[RIGHT], rights)):
+            if not sub:
+                continue
+            if ref < 0:
+                self._route_group(page, ~ref, sub, queries, out)
+            else:
+                self._query_group(ref, sub, queries, out)
+
+    def _report_on_line_node(self, page, slot: int, q: VerticalQuery,
+                             out: List[Segment]) -> None:
         """The query lies exactly on this node's base line (search stops)."""
         tagged = self.pager.device.tagged
+        record = page.items[slot]
         seen: Dict = {}
         with tagged("C"):
-            c_index = self._c_index_cached(page)
+            c_index = self._c_index_cached(page, slot)
             for _lo, _hi, s in c_index.overlap(q.ylo, q.yhi):
                 seen[s.label] = s
         h0 = HQuery(0, q.ylo, q.yhi)
-        for side in ("l", "r"):
-            if not pst_reaches(page.get_header(f"{side}_meta"), 0):
+        for side, field in (("l", L_META), ("r", R_META)):
+            if not pst_reaches(record[field], 0):
                 continue  # an empty PST
             with tagged("PST"):
-                for hit in self._lr_index_cached(page, side).query(h0):
+                for hit in self._lr_index_cached(page, slot, side).query(h0):
                     seen[hit.payload.label] = hit.payload  # crossers occur twice
         out.extend(seen.values())
 
@@ -386,40 +484,55 @@ class TwoLevelBinaryIndex:
             if self.root_pid is None:
                 self.root_pid = self._write_leaf([segment])
                 return
-            path: List[Tuple[int, Optional[str]]] = []
-            pid = self.root_pid
+            # (pid, slot, level, field): each record on the path, how many
+            # levels it sits below its page's root, and the child field the
+            # update entered, None where it stopped.
+            path: List[Tuple[int, int, int, Optional[int]]] = []
+            ref = self.root_pid
             while True:
-                with tagged("first-level"):
-                    page = self.pager.fetch(pid)
-                    page.set_header("weight", page.get_header("weight") + 1)
-                    self.pager.write(page)
-                self.pager.crash_point("solution1.insert.descent")
+                if ref < 0:
+                    slot, level = ~ref, level + 1
+                else:
+                    pid, slot, level = ref, 0, 0
+                    with tagged("first-level"):
+                        page = self.pager.fetch(pid)
                 if page.get_header("kind") == "leaf":
+                    with tagged("first-level"):
+                        page.set_header("weight", page.get_header("weight") + 1)
+                        self.pager.write(page)
+                    self.pager.crash_point("solution1.insert.descent")
                     # Leaves are not on the rebalance path: an overflowing
                     # leaf is rebuilt (and freed) right here.
-                    parent_pid, parent_side = path[-1] if path else (None, None)
                     with tagged("leaf"):
-                        self._insert_into_leaf(page, segment, parent_pid, parent_side)
+                        self._insert_into_leaf(page, segment,
+                                               path[-1] if path else None)
                     break
-                c = page.get_header("x")
-                if segment.spans_x(c):
-                    path.append((pid, None))
+                record = self._set(page, slot, WEIGHT, page.items[slot][WEIGHT] + 1)
+                c = record[X]
+                field = (None if segment.spans_x(c)
+                         else LEFT if segment.xmax < c else RIGHT)
+                path.append((pid, slot, level, field))
+                if field is None or record[field] >= 0:
+                    # The walk stops in this page or leaves it: one write
+                    # carries every weight it raised here.
+                    with tagged("first-level"):
+                        self.pager.write(page)
+                self.pager.crash_point("solution1.insert.descent")
+                if field is None:
                     with tagged("second-level"):
-                        self._insert_at_node(page, segment, c)
+                        self._insert_at_node(page, slot, segment, c)
                     break
-                side = "left" if segment.xmax < c else "right"
-                path.append((pid, side))
-                pid = page.get_header(side)
+                ref = record[field]
             with tagged("rebuild"):
                 self._rebalance_path(path)
 
-    def _insert_at_node(self, page, segment: Segment, c) -> None:
-        page.set_header("here", page.get_header("here") + 1)
-        self.pager.write(page)
+    def _insert_at_node(self, page, slot: int, segment: Segment, c) -> None:
+        # The descent has written the page; _sync_node writes it again.
+        record = self._set(page, slot, HERE, page.items[slot][HERE] + 1)
         interval, lpart, rpart = split_at_line(segment, c)
-        c_index = self._c_index(page)
-        l_index = self._lr_index(page, "l")
-        r_index = self._lr_index(page, "r")
+        c_index = self._c_index(record)
+        l_index = self._lr_index(record, "l")
+        r_index = self._lr_index(record, "r")
         if interval is not None:
             c_index.insert(interval[0], interval[1], segment)
         if lpart is not None:
@@ -427,11 +540,9 @@ class TwoLevelBinaryIndex:
         self.pager.crash_point("solution1.insert.second-level")
         if rpart is not None:
             r_index.insert(rpart)
-        self._sync_node(page, c_index, l_index, r_index)
+        self._sync_node(page, slot, c_index, l_index, r_index)
 
-    def _insert_into_leaf(
-        self, page, segment: Segment, parent_pid: Optional[int], parent_side: Optional[str]
-    ) -> None:
+    def _insert_into_leaf(self, page, segment: Segment, parent) -> None:
         capacity = self.pager.device.block_capacity
         items = list(page.items) + [segment]
         if len(items) <= capacity:
@@ -441,20 +552,45 @@ class TwoLevelBinaryIndex:
         # Leaf overflow: rebuild this leaf into a proper subtree.
         self.pager.free(page.page_id)
         self.pager.crash_point("solution1.insert.leaf-rebuild")
-        new_pid = self._build_subtree(items)
-        self._replace_child(parent_pid, parent_side, page.page_id, new_pid)
+        self._replace_child(parent, self._build_subtree(items))
 
-    def _replace_child(
-        self, parent_pid: Optional[int], side: Optional[str], old_pid: int, new_pid: int
-    ) -> None:
-        if parent_pid is None:
-            assert self.root_pid == old_pid
-            self.root_pid = new_pid
+    def _replace_child(self, parent, node) -> None:
+        """Hang ``node`` (a leaf's page id or a draft) where ``parent`` —
+        a path entry ``(pid, slot, level, field)`` — points, or at the
+        root when ``parent`` is None.
+
+        When that position lies inside the parent's page, the page is
+        re-laid out around ``node`` and the records of the subtree it
+        replaces drop out; otherwise ``node`` gets pages of its own.
+        Either way the parent's slot, and its ancestors', stay put: they
+        precede ``node`` in pre-order.
+        """
+        if parent is None:
+            self.root_pid = self._place(node)
             return
-        parent = self.pager.fetch(parent_pid)
-        assert parent.get_header(side) == old_pid
-        parent.set_header(side, new_pid)
-        self.pager.write(parent)
+        pid, slot, level, field = parent
+        page = self.pager.fetch(pid)
+        if level + 1 < self.levels:
+            self._repack(page, slot, field, node)
+        else:
+            self._set(page, slot, field, self._place(node))
+            self.pager.write(page)
+
+    def _repack(self, page, slot: int, field: int, node) -> None:
+        """Re-lay out ``page`` with ``node`` as ``field`` child of the
+        record at ``slot``."""
+        items = page.items
+
+        def draft(s: int) -> list:
+            out = list(items[s])
+            for f in (LEFT, RIGHT):
+                if s == slot and f == field:
+                    out[f] = node
+                elif out[f] < 0:
+                    out[f] = draft(~out[f])
+            return out
+
+        self._pack(draft(0), page)
 
     def delete(self, segment: Segment) -> bool:
         """Delete a stored segment (located by its x-extent and label)."""
@@ -462,12 +598,16 @@ class TwoLevelBinaryIndex:
             return False
         tagged = self.pager.device.tagged
         with self.pager.operation():
-            path: List[Tuple[int, Optional[str]]] = []
-            pid = self.root_pid
+            path: List[Tuple[int, int, int, Optional[int]]] = []
+            ref = self.root_pid
             removed = False
             while True:
-                with tagged("first-level"):
-                    page = self.pager.fetch(pid)
+                if ref < 0:
+                    slot, level = ~ref, level + 1
+                else:
+                    pid, slot, level = ref, 0, 0
+                    with tagged("first-level"):
+                        page = self.pager.fetch(pid)
                 self.pager.crash_point("solution1.delete.descent")
                 if page.get_header("kind") == "leaf":
                     with tagged("leaf"):
@@ -476,22 +616,26 @@ class TwoLevelBinaryIndex:
                             page.set_header("weight", page.get_header("weight") - 1)
                             self.pager.write(page)
                     break
-                c = page.get_header("x")
+                record = page.items[slot]
+                c = record[X]
                 if segment.spans_x(c):
-                    path.append((pid, None))
+                    path.append((pid, slot, level, None))
                     with tagged("second-level"):
-                        removed = self._delete_at_node(page, segment, c)
+                        removed = self._delete_at_node(page, slot, segment, c)
                     break
-                side = "left" if segment.xmax < c else "right"
-                path.append((pid, side))
-                pid = page.get_header(side)
+                field = LEFT if segment.xmax < c else RIGHT
+                path.append((pid, slot, level, field))
+                ref = record[field]
             if removed:
                 self.size -= 1
                 with tagged("first-level"):
-                    for node_pid, _side in path:
-                        node = self.pager.fetch(node_pid)
-                        node.set_header("weight", node.get_header("weight") - 1)
-                        self.pager.write(node)
+                    # One write per page, after all of its weights fell.
+                    touched = {}
+                    for pid, slot, _level, _field in path:
+                        page = touched[pid] = self.pager.fetch(pid)
+                        self._set(page, slot, WEIGHT, page.items[slot][WEIGHT] - 1)
+                    for page in touched.values():
+                        self.pager.write(page)
                 with tagged("rebuild"):
                     self._rebalance_path(path)
             return removed
@@ -506,11 +650,12 @@ class TwoLevelBinaryIndex:
                 return True
         return False
 
-    def _delete_at_node(self, page, segment: Segment, c) -> bool:
+    def _delete_at_node(self, page, slot: int, segment: Segment, c) -> bool:
+        record = page.items[slot]
         interval, lpart, rpart = split_at_line(segment, c)
-        c_index = self._c_index(page)
-        l_index = self._lr_index(page, "l")
-        r_index = self._lr_index(page, "r")
+        c_index = self._c_index(record)
+        l_index = self._lr_index(record, "l")
+        r_index = self._lr_index(record, "r")
         removed = False
         if interval is not None:
             removed = c_index.delete(interval[0], interval[1])
@@ -520,9 +665,9 @@ class TwoLevelBinaryIndex:
             if rpart is not None:
                 removed = r_index.delete(rpart) or removed
         if removed:
-            page.set_header("here", page.get_header("here") - 1)
+            self._set(page, slot, HERE, record[HERE] - 1)
             self.pager.crash_point("solution1.delete.second-level")
-            self._sync_node(page, c_index, l_index, r_index)
+            self._sync_node(page, slot, c_index, l_index, r_index)
         return removed
 
     # ------------------------------------------------------------------
@@ -531,61 +676,68 @@ class TwoLevelBinaryIndex:
     def _rebalance_path(self, path) -> None:
         """Rebuild the topmost BB[α]-violating subtree on the update path.
 
-        ``path`` lists ``(pid, side)`` from the root down, ``side`` naming
-        the child the update entered, ``None`` at the node where it
-        stopped.  The weights come from pages the update already holds:
-        the entered child's from its own page (pinned by the descent, or
-        written by a leaf rebuild), the sibling's as ``weight − here −
-        w_child``, the identity ``_check_subtree`` asserts.  At the
-        stopping node neither child was entered, so the check reads the
-        left one; it cannot skip that node even after an insert, because
-        ``bb_balanced`` is not monotone in the weight (a node of weight
-        ``BALANCE_SLACK`` is exempt, one more is not).
+        ``path`` lists ``(pid, slot, level, field)`` from the root down,
+        ``field`` naming the child the update entered, ``None`` at the node
+        where it stopped.  The weights come from pages the update already
+        holds: the entered child's from its record (in the same page, or
+        the root of the next page, pinned by the descent or written by a
+        leaf rebuild), the sibling's as ``weight − here − w_child``, the
+        identity ``_check_subtree`` asserts.  At the stopping node neither
+        child was entered, so the check takes the left one's, which costs
+        a read when it heads another page; it cannot skip that node even
+        after an insert, because ``bb_balanced`` is not monotone in the
+        weight (a node of weight ``BALANCE_SLACK`` is exempt, one more is
+        not).
         """
-        parent_pid = parent_side = None
-        for pid, side in path:
+        parent = None
+        for entry in path:
+            pid, slot, _level, field = entry
             page = self.pager.fetch(pid)
-            weight = page.get_header("weight")
-            child = self.pager.fetch(page.get_header(side or "left"))
-            w_child = child.get_header("weight")
-            if bb_balanced(weight, w_child, weight - page.get_header("here") - w_child):
-                parent_pid, parent_side = pid, side
+            record = page.items[slot]
+            weight = record[WEIGHT]
+            w_child = self._child_weight(page, record[field or LEFT])
+            if bb_balanced(weight, w_child, weight - record[HERE] - w_child):
+                parent = entry
                 continue
-            segments = self._collect(pid)
-            self._destroy_subtree(pid)
+            segments = self._collect(page, slot)
+            self._destroy_subtree(page, slot)
             self.pager.crash_point("solution1.rebalance")
-            new_pid = self._build_subtree(segments)
-            self._replace_child(parent_pid, parent_side, pid, new_pid)
+            self._replace_child(parent, self._build_subtree(segments))
             return
 
-    def _collect(self, pid: int) -> List[Segment]:
-        page = self.pager.fetch(pid)
+    def _collect(self, page, slot: int = 0) -> List[Segment]:
+        """Every segment below the node at ``slot`` of ``page``."""
         if page.get_header("kind") == "leaf":
             return list(page.items)
+        record = page.items[slot]
         out: Dict = {}
-        for _lo, _hi, s in self._c_index(page).items():
+        for _lo, _hi, s in self._c_index(record).items():
             out[s.label] = s
         for side in ("l", "r"):
-            for lb in self._lr_index(page, side).all_segments():
+            for lb in self._lr_index(record, side).all_segments():
                 out[lb.payload.label] = lb.payload
         segments = list(out.values())
-        segments.extend(self._collect(page.get_header("left")))
-        segments.extend(self._collect(page.get_header("right")))
+        segments.extend(self._collect(*self._child(page, record[LEFT])))
+        segments.extend(self._collect(*self._child(page, record[RIGHT])))
         return segments
 
-    def _destroy_subtree(self, pid: int) -> None:
-        page = self.pager.fetch(pid)
+    def _destroy_subtree(self, page, slot: int = 0) -> None:
+        """Free the subtree at ``slot`` of ``page``: its second-level
+        structures, the pages below it, and ``page`` itself when the
+        subtree owns it (its root is slot 0)."""
         if page.get_header("kind") == "node":
-            self._c_index(page).destroy()
-            self._lr_index(page, "l").destroy()
-            self._lr_index(page, "r").destroy()
-            self._destroy_subtree(page.get_header("left"))
-            self._destroy_subtree(page.get_header("right"))
-        self.pager.free(pid)
+            record = page.items[slot]
+            self._c_index(record).destroy()
+            self._lr_index(record, "l").destroy()
+            self._lr_index(record, "r").destroy()
+            self._destroy_subtree(*self._child(page, record[LEFT]))
+            self._destroy_subtree(*self._child(page, record[RIGHT]))
+        if slot == 0:
+            self.pager.free(page.page_id)
 
     def destroy(self) -> None:
         if self.root_pid is not None:
-            self._destroy_subtree(self.root_pid)
+            self._destroy_subtree(self.pager.fetch(self.root_pid))
             self.root_pid = None
             self.size = 0
 
@@ -593,34 +745,71 @@ class TwoLevelBinaryIndex:
     # inspection
     # ------------------------------------------------------------------
     def all_segments(self) -> List[Segment]:
-        return self._collect(self.root_pid) if self.root_pid is not None else []
+        if self.root_pid is None:
+            return []
+        return self._collect(self.pager.fetch(self.root_pid))
 
     def __len__(self) -> int:
         return self.size
 
+    def walk(self, x=None, max_depth: Optional[int] = None
+             ) -> Iterator[Tuple[int, object, Optional[int], Optional[tuple]]]:
+        """The first level in pre-order, as ``(depth, page, slot, record)``
+        with ``record`` the node at ``slot`` of ``page``; a leaf comes as
+        ``(depth, page, None, None)``.  With ``x``, only the nodes a query
+        at ``x`` visits; with ``max_depth``, nothing deeper is yielded or
+        fetched.  Fetches are charged like any other."""
+        if self.root_pid is None:
+            return
+        stack = [(0, self.pager.fetch(self.root_pid), 0)]
+        while stack:
+            depth, page, slot = stack.pop()
+            if page.get_header("kind") == "leaf":
+                yield depth, page, None, None
+                continue
+            record = page.items[slot]
+            yield depth, page, slot, record
+            if depth == max_depth:
+                continue
+            if x is None:
+                refs = (record[RIGHT], record[LEFT])  # the left pops first
+            elif x == record[X]:
+                refs = ()
+            else:
+                refs = (record[LEFT if x < record[X] else RIGHT],)
+            for ref in refs:
+                stack.append((depth + 1, *self._child(page, ref)))
+
     def height(self) -> int:
         """Levels from the root to the deepest leaf (0 when empty)."""
-        def depth(pid: int) -> int:
-            page = self.pager.fetch(pid)
+        def depth(page, slot: int) -> int:
             if page.get_header("kind") == "leaf":
                 return 1
-            return 1 + max(depth(page.get_header("left")),
-                           depth(page.get_header("right")))
+            record = page.items[slot]
+            return 1 + max(depth(*self._child(page, record[LEFT])),
+                           depth(*self._child(page, record[RIGHT])))
 
-        return depth(self.root_pid) if self.root_pid is not None else 0
+        if self.root_pid is None:
+            return 0
+        return depth(self.pager.fetch(self.root_pid), 0)
 
     def check_invariants(self, deep: bool = False) -> None:
-        """Verify weights, BB[α] balance, segment placement and band
-        separation.
+        """Verify weights, BB[α] balance, segment placement, band
+        separation and the page layout.
 
-        With ``deep=True`` every node's second-level structures are also
-        checked (PST heap/x-order, B+-tree order of the on-line index) —
-        the fsck walk.
+        The layout: each page's records sit in pre-order from slot 0, none
+        orphaned, at most ``2^k − 1`` of them, and a node lives in the
+        page of its ancestor at depth ``⌊d/k⌋·k`` — an in-page child sits
+        less than ``k`` levels below the page's root, a child page that is
+        not a leaf exactly ``k``.  With ``deep=True`` every node's
+        second-level structures are also checked (PST heap/x-order, B+-tree
+        order of the on-line index) — the fsck walk.
         """
         if self.root_pid is None:
             assert self.size == 0
             return
-        total = self._check_subtree(self.root_pid, None, None, deep)
+        total = self._check_subtree(self.pager.fetch(self.root_pid), 0, 0,
+                                    None, None, deep)
         assert total == self.size, f"size mismatch: {total} != {self.size}"
 
     def verify(self) -> List[str]:
@@ -633,38 +822,78 @@ class TwoLevelBinaryIndex:
             return [f"solution1: {type(exc).__name__}: {exc}"]
         return []
 
-    def _check_subtree(self, pid: int, lo, hi, deep: bool = False) -> int:
-        page = self.pager.fetch(pid)
+    def _check_layout(self, page) -> None:
+        items = page.items
+        order: List[int] = []
+
+        def visit(slot: int) -> None:
+            order.append(slot)
+            record = items[slot]
+            assert type(record) is tuple and len(record) == R_META + 1, (
+                f"malformed record at slot {slot} of page {page.page_id}")
+            for ref in record[LEFT:RIGHT + 1]:
+                if ref < 0:
+                    assert ~ref < len(items) and ~ref not in order, (
+                        f"bad slot {~ref} in page {page.page_id}")
+                    visit(~ref)
+
+        visit(0)
+        assert order == list(range(len(items))), (
+            f"records of page {page.page_id} not in pre-order: {order}")
+        assert len(items) <= 2 ** self.levels - 1, (
+            f"page {page.page_id} holds {len(items)} records")
+
+    def _check_subtree(self, page, slot: int, level: int, lo, hi,
+                       deep: bool = False) -> int:
+        pid = page.page_id
         if page.get_header("kind") == "leaf":
             for s in page.items:
                 assert lo is None or s.xmin > lo, f"leaf segment out of band: {s!r}"
                 assert hi is None or s.xmax < hi, f"leaf segment out of band: {s!r}"
             assert page.get_header("weight") == len(page.items)
             return len(page.items)
-        c = page.get_header("x")
+        if slot == 0:
+            self._check_layout(page)
+        record = page.items[slot]
+        c = record[X]
         assert lo is None or c > lo
         assert hi is None or c < hi
         here = set()
-        for _l, _h, s in self._c_index(page).items():
+        for _l, _h, s in self._c_index(record).items():
             assert s.is_vertical and s.start.x == c
             here.add(s.label)
-        for side, frame_side in (("l", "left"), ("r", "right")):
-            for lb in self._lr_index(page, side).all_segments():
+        for side in ("l", "r"):
+            for lb in self._lr_index(record, side).all_segments():
                 s = lb.payload
                 assert s.spans_x(c), f"{s!r} misplaced at line x={c}"
                 here.add(s.label)
         if deep:
-            self._c_index(page).check_invariants()
-            self._lr_index(page, "l").check_invariants()
-            self._lr_index(page, "r").check_invariants()
+            self._c_index(record).check_invariants()
+            self._lr_index(record, "l").check_invariants()
+            self._lr_index(record, "r").check_invariants()
         count = len(here)
-        assert count == page.get_header("here"), f"here-count stale at {pid}"
-        wl = self._check_subtree(page.get_header("left"), lo, c, deep)
-        wr = self._check_subtree(page.get_header("right"), c, hi, deep)
+        assert count == record[HERE], f"here-count stale at {pid}:{slot}"
+        weights = []
+        for ref, band in ((record[LEFT], (lo, c)), (record[RIGHT], (c, hi))):
+            child, child_slot = self._child(page, ref)
+            if ref < 0:
+                child_level = level + 1
+                assert child_level < self.levels, (
+                    f"record {pid}:{child_slot} is {child_level} levels "
+                    f"below its page's root")
+            else:
+                child_level = 0
+                assert (child.get_header("kind") == "leaf"
+                        or level + 1 == self.levels), (
+                    f"page {ref} starts {level + 1} levels below page {pid}'s "
+                    f"root, not {self.levels}")
+            weights.append(self._check_subtree(child, child_slot, child_level,
+                                               *band, deep))
+        wl, wr = weights
         count += wl + wr
-        assert count == page.get_header("weight"), f"weight stale at {pid}"
+        assert count == record[WEIGHT], f"weight stale at {pid}:{slot}"
         assert bb_balanced(count, wl, wr), (
-            f"BB[alpha] balance violated at {pid}: children {wl}/{wr} "
+            f"BB[alpha] balance violated at {pid}:{slot}: children {wl}/{wr} "
             f"of weight {count}")
         return count
 

@@ -503,10 +503,6 @@ class FaultyBlockDevice(BlockDevice):
     # operation journal
     # ------------------------------------------------------------------
     @property
-    def journal_active(self) -> bool:
-        return self._journal is not None
-
-    @property
     def needs_recovery(self) -> bool:
         """True after a crash left the journal dirty."""
         return self._needs_recovery

@@ -13,7 +13,7 @@ File layout (all integers big-endian)::
 
     offset  size  field
     0       8     magic  b"REPROSNP"
-    8       4     format version (3; no other version reads)
+    8       4     format version (4; no other version reads)
     12      8     payload length in bytes
     20      4     CRC32 of the payload bytes
     24      ...   payload: a flat page arena
@@ -42,7 +42,7 @@ from .disk import BlockDevice
 from .errors import SnapshotFormatError
 
 MAGIC = b"REPROSNP"
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 _HEADER = struct.Struct(">8sIQI")  # magic, version, payload length, CRC32
 
 

@@ -178,6 +178,20 @@ class _SentItems:
         response["answers"] = answers
         return response
 
+    def mark(self) -> tuple:
+        """The table as it stands, for :meth:`rollback`."""
+        return self.index, self.items, len(self.items)
+
+    def rollback(self, mark: tuple) -> None:
+        """Forget what :meth:`encode` added since ``mark``: its response
+        was never sent, so the client's table never saw it.  A reset
+        swapped in fresh containers and left the marked ones untouched."""
+        index, items, size = mark
+        for item in items[size:]:
+            del index[id(item)]
+        del items[size:]
+        self.index, self.items = index, items
+
 
 class ServeDaemon:
     """Serve ``db.query_batch`` over TCP with batching and backpressure.
@@ -355,8 +369,15 @@ class ServeDaemon:
                 self._inflight += 1
                 self._idle.clear()
                 try:
+                    mark = sent.mark()
                     response = await self._respond(request, sent)
-                    writer.write(_encode_frame(response))
+                    try:
+                        frame = _encode_frame(response)
+                    except ValueError as exc:  # over MAX_FRAME_BYTES
+                        sent.rollback(mark)
+                        frame = _encode_frame(_error(
+                            "bad-request", f"response too large: {exc}"))
+                    writer.write(frame)
                     await writer.drain()
                 finally:
                     self._inflight -= 1

@@ -57,14 +57,6 @@ def default_fanout(block_capacity: int) -> int:
     return max(2, min(by_routing, by_directory))
 
 
-class _Node:
-    """In-memory handle for one internal node (two pages on disk)."""
-
-    def __init__(self, routing_pid: int, directory_pid: int):
-        self.routing_pid = routing_pid
-        self.directory_pid = directory_pid
-
-
 class ExternalIntervalTree:
     """Stabbing-query index over arbitrary (possibly overlapping) intervals."""
 

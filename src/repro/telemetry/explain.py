@@ -106,11 +106,6 @@ class ExplainReport:
         """True when per-phase I/Os sum exactly to the flat diff."""
         return self.phase_io_total == self.io.total
 
-    @property
-    def seconds_total(self) -> float:
-        """Wall-clock seconds over all phases (0.0 unless traced timed)."""
-        return sum(p.seconds for p in self.phases.values())
-
     # ------------------------------------------------------------------
     # exports
     # ------------------------------------------------------------------

@@ -159,10 +159,6 @@ class MetricsRegistry:
             got = self._latencies[name] = LatencyHistogram(name)
         return got
 
-    def merge_latency(self, name: str, other: LatencyHistogram) -> None:
-        """Fold a (possibly remote) latency histogram into ``name``."""
-        self.latency(name).merge(other)
-
     def names(self) -> List[str]:
         return sorted(
             list(self._counters) + list(self._gauges)

@@ -140,17 +140,32 @@ def dump_pst(tree, max_items: int = 4) -> str:
 
 def dump_two_level(index, pager=None, max_depth: Optional[int] = None) -> str:
     """Text dump of a two-level structure's first level (Figures 4–5)."""
+    from .core.solution1 import TwoLevelBinaryIndex
+    from .core.solution1.index import HERE, WEIGHT, X
+
     pager = pager or index.pager
     if index.root_pid is None:
         return "(empty index)"
     lines: List[str] = []
+    if isinstance(index, TwoLevelBinaryIndex):
+        view = TwoLevelBinaryIndex.attach(pager, index.snapshot_meta())
+        for depth, page, slot, record in view.walk(max_depth=max_depth):
+            if slot is None:
+                lines.append("  " * depth
+                             + f"leaf[{page.page_id}] {len(page.items)} segments")
+            else:
+                lines.append(
+                    "  " * depth
+                    + f"node[{page.page_id}:{slot}] line x={record[X]} "
+                    + f"here={record[HERE]} weight={record[WEIGHT]}"
+                )
+        return "\n".join(lines)
 
     def walk(pid: int, depth: int) -> None:
         if max_depth is not None and depth > max_depth:
             return
         page = pager.fetch(pid)
-        kind = page.get_header("kind")
-        if kind == "leaf":
+        if page.get_header("kind") == "leaf":
             from .storage.chain import PageChain
 
             try:
@@ -159,24 +174,15 @@ def dump_two_level(index, pager=None, max_depth: Optional[int] = None) -> str:
                 count = len(page.items)
             lines.append("  " * depth + f"leaf[{pid}] {count} segments")
             return
-        if page.get_header("x") is not None:  # Solution 1 node
-            lines.append(
-                "  " * depth
-                + f"node[{pid}] line x={page.get_header('x')} "
-                + f"here={page.get_header('here')} weight={page.get_header('weight')}"
-            )
-            walk(page.get_header("left"), depth + 1)
-            walk(page.get_header("right"), depth + 1)
-        else:  # Solution 2 node
-            view = index._read_view(pid)
-            lines.append(
-                "  " * depth
-                + f"node[{pid}] boundaries={view.boundaries} "
-                + f"weight={page.get_header('weight')}"
-                + (" G=yes" if view.g_pid is not None else " G=no")
-            )
-            for child in view.children:
-                walk(child, depth + 1)
+        view = index._read_view(pid)
+        lines.append(
+            "  " * depth
+            + f"node[{pid}] boundaries={view.boundaries} "
+            + f"weight={page.get_header('weight')}"
+            + (" G=yes" if view.g_pid is not None else " G=no")
+        )
+        for child in view.children:
+            walk(child, depth + 1)
 
     walk(index.root_pid, 0)
     return "\n".join(lines)

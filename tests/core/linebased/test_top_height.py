@@ -15,6 +15,7 @@ import pytest
 from repro import SegmentDatabase, Segment, VerticalQuery
 from repro.core.linebased import ExternalPST, LineBasedIndex
 from repro.core.linebased.index import pst_reaches
+from repro.core.solution1.index import L_META, R_META, TwoLevelBinaryIndex
 from repro.geometry import HQuery, LineBasedSegment, lb_intersects, vs_intersects
 from repro.iosim import BlockDevice, FaultSchedule, Pager, SimulatedCrash
 from repro.workloads import fan, grid_segments, segment_queries
@@ -210,19 +211,14 @@ def test_save_open_preserves_per_query_reads(tmp_path):
 
 
 def _first_level_metas(db):
-    """Every (page, header key) of a solution1 node holding a PST."""
-    index = db._index
-    pager = index.pager
+    """Every (page, slot, field) of a solution1 record holding a PST."""
     out = []
-    stack = [index.root_pid]
-    while stack:
-        page = pager.fetch(stack.pop())
-        if page.get_header("kind") != "node":
+    for _depth, page, slot, record in db._index.walk():
+        if slot is None:
             continue
-        for key in ("l_meta", "r_meta"):
-            if page.get_header(key)[2] > 0:  # a non-empty PST
-                out.append((page, key))
-        stack.extend((page.get_header("left"), page.get_header("right")))
+        for field in (L_META, R_META):
+            if record[field][2] > 0:  # a non-empty PST
+                out.append((page, slot, field))
     return out
 
 
@@ -230,10 +226,10 @@ def test_fsck_flags_a_stale_first_level_value():
     db = SegmentDatabase.bulk_load(grid_segments(300, seed=18),
                                    engine="solution1", block_capacity=8)
     assert db.fsck().ok
-    page, key = _first_level_metas(db)[0]
-    meta = list(page.get_header(key))
+    page, slot, field = _first_level_metas(db)[0]
+    meta = list(page.items[slot][field])
     meta[5] = meta[5] - 1  # lower than the tallest stored fragment
-    page.set_header(key, tuple(meta))
+    TwoLevelBinaryIndex._set(page, slot, field, tuple(meta))
     report = db.fsck()
     assert not report.ok
     assert any("top_h stale" in p for p in report.problems), report.problems

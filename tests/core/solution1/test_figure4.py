@@ -8,6 +8,7 @@ figure is not recoverable from the text, so we use a representative
 """
 
 from repro.core.solution1 import TwoLevelBinaryIndex
+from repro.core.solution1.index import X
 from repro.geometry import Segment, VerticalQuery, vs_intersects
 from repro.iosim import BlockDevice, Pager
 
@@ -32,27 +33,23 @@ def build():
 
 
 def test_first_level_is_a_binary_tree_with_leaf_blocks():
-    _dev, pager, index = build()
+    _dev, _pager, index = build()
     kinds = {"node": 0, "leaf": 0}
-    stack = [index.root_pid]
-    while stack:
-        page = pager.fetch(stack.pop())
-        kind = page.get_header("kind")
-        kinds[kind] += 1
-        if kind == "node":
-            stack.append(page.get_header("left"))
-            stack.append(page.get_header("right"))
-        else:
+    for _depth, page, slot, _record in index.walk():
+        if slot is None:
+            kinds["leaf"] += 1
             assert len(page.items) <= 2  # leaves hold at most B segments
+        else:
+            kinds["node"] += 1
     assert kinds["node"] >= 1
     assert kinds["leaf"] >= 2
 
 
 def test_root_stores_segments_meeting_its_line():
-    _dev, pager, index = build()
-    root = pager.fetch(index.root_pid)
-    assert root.get_header("kind") == "node"
-    c = root.get_header("x")
+    _dev, _pager, index = build()
+    _depth, _page, slot, root = next(index.walk())
+    assert slot is not None  # the root is a node
+    c = root[X]
     stored_here = set()
     for _lo, _hi, s in index._c_index(root).items():
         stored_here.add(s.label)
@@ -67,9 +64,8 @@ def test_root_stores_segments_meeting_its_line():
 
 
 def test_children_partition_by_side():
-    _dev, pager, index = build()
-    root = pager.fetch(index.root_pid)
-    c = root.get_header("x")
+    _dev, _pager, index = build()
+    c = next(index.walk())[3][X]
     index.check_invariants()  # bands are checked recursively there
     for s in SEGMENTS:
         if s.xmax < c:
@@ -78,25 +74,26 @@ def test_children_partition_by_side():
             side = "right"
         else:
             continue
-        found = _subtree_labels(index, pager, root.get_header(side))
+        found = _subtree_labels(index, side)
         assert s.label in found
 
 
-def _subtree_labels(index, pager, pid):
+def _subtree_labels(index, side):
+    """Labels stored in the root's ``side`` subtree: in pre-order, the
+    left subtree runs from the first depth-1 node to the second."""
+    nodes = list(index.walk())[1:]
+    starts = [i for i, (depth, *_rest) in enumerate(nodes) if depth == 1]
+    nodes = nodes[:starts[1]] if side == "left" else nodes[starts[1]:]
     labels = set()
-    stack = [pid]
-    while stack:
-        page = pager.fetch(stack.pop())
-        if page.get_header("kind") == "leaf":
+    for _depth, page, slot, record in nodes:
+        if slot is None:
             labels.update(s.label for s in page.items)
             continue
-        for _lo, _hi, s in index._c_index(page).items():
+        for _lo, _hi, s in index._c_index(record).items():
             labels.add(s.label)
-        for side in ("l", "r"):
-            for lb in index._lr_index(page, side).all_segments():
+        for lr in ("l", "r"):
+            for lb in index._lr_index(record, lr).all_segments():
                 labels.add(lb.payload.label)
-        stack.append(page.get_header("left"))
-        stack.append(page.get_header("right"))
     return labels
 
 

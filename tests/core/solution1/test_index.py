@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.solution1 import TwoLevelBinaryIndex, split_at_line
+from repro.core.solution1.index import X
 from repro.geometry import Segment, VerticalQuery, vs_intersects
 from repro.iosim import BlockDevice, Pager
 from repro.workloads import (
@@ -102,14 +103,8 @@ class TestQueries:
         segments = grid_segments(200, seed=11)
         _d, pager, index = build(segments, capacity=8)
         # Probe the root line and a few deeper lines explicitly.
-        pids = [index.root_pid]
-        lines = []
-        while pids:
-            page = pager.fetch(pids.pop())
-            if page.get_header("kind") == "node":
-                lines.append(page.get_header("x"))
-                pids.append(page.get_header("left"))
-                pids.append(page.get_header("right"))
+        lines = [record[X] for _depth, _page, slot, record in index.walk()
+                 if slot is not None]
         assert lines
         for c in lines[:10]:
             q = VerticalQuery.line(c)
@@ -164,15 +159,8 @@ class TestQueries:
     def test_height_is_the_deepest_leaf(self):
         # Here the deepest leaf is not on the leftmost path.
         _d, _p, index = build(grid_segments(200, seed=7), capacity=8)
-        deepest, stack = 0, [(index.root_pid, 1)]
-        while stack:
-            pid, depth = stack.pop()
-            page = index.pager.fetch(pid)
-            if page.get_header("kind") == "leaf":
-                deepest = max(deepest, depth)
-            else:
-                stack += [(page.get_header("left"), depth + 1),
-                          (page.get_header("right"), depth + 1)]
+        deepest = max(depth + 1 for depth, _page, slot, _record in index.walk()
+                      if slot is None)
         assert index.height() == deepest == 6
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.solution1 import TwoLevelBinaryIndex
+from repro.core.solution1.index import X
 from repro.geometry import Segment, VerticalQuery, vs_intersects
 from repro.iosim import BlockDevice, Measurement, Pager
 from repro.workloads import (grid_segments, grid_segments_touching,
@@ -140,16 +141,10 @@ def replacement(old, version, rng, cell=100):
 
 def ends_at_leaf(index, segment):
     """Whether an update of ``segment`` descends to a leaf, rather than
-    stopping at a node whose base line it meets."""
-    pid = index.root_pid
-    while True:
-        page = index.pager.fetch(pid)
-        if page.get_header("kind") == "leaf":
-            return True
-        c = page.get_header("x")
-        if segment.spans_x(c):
-            return False
-        pid = page.get_header("left" if segment.xmax < c else "right")
+    stopping at a node whose base line it meets.  Its path is a query's at
+    ``segment.xmin`` up to the first such node."""
+    return not any(record is not None and segment.spans_x(record[X])
+                   for _depth, _page, _slot, record in index.walk(segment.xmin))
 
 
 def skewed(count, x0=10**6):

@@ -106,12 +106,16 @@ def _drive_to_crash(db, point, engine, seed):
     return False
 
 
-@pytest.mark.parametrize("point", SOLUTION1_POINTS)
-def test_solution1_crash_points(point):
+@pytest.mark.parametrize(
+    "point,capacity",
+    [pytest.param(p, 8, id=p) for p in SOLUTION1_POINTS]
+    # Three records a page: crashes land inside multi-record pages.
+    + [pytest.param(p, 32, id=f"{p}-B32") for p in SOLUTION1_POINTS])
+def test_solution1_crash_points(point, capacity):
     schedule = FaultSchedule(seed=1, crash_points={point: 1})
     db = SegmentDatabase.bulk_load(grid_segments(150, seed=500),
-                                   engine="solution1", block_capacity=8,
-                                   faults=schedule)
+                                   engine="solution1",
+                                   block_capacity=capacity, faults=schedule)
     assert _drive_to_crash(db, point, "solution1", seed=501), (
         f"crash point {point} never fired")
     assert db.fsck().ok

@@ -117,12 +117,13 @@ class TestInvariantEnforcement:
 
     def test_solution1_weight_checker_catches_corruption(self):
         from repro.core.solution1 import TwoLevelBinaryIndex
+        from repro.core.solution1.index import WEIGHT
 
         dev = BlockDevice(block_capacity=8)
         pager = Pager(dev)
         index = TwoLevelBinaryIndex.build(pager, grid_segments(100, seed=2))
         root = pager.fetch(index.root_pid)
-        root.set_header("weight", root.get_header("weight") + 1)
+        TwoLevelBinaryIndex._set(root, 0, WEIGHT, root.items[0][WEIGHT] + 1)
         pager.write(root)
         with pytest.raises(AssertionError):
             index.check_invariants()

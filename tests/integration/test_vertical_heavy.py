@@ -70,6 +70,7 @@ def test_queries_on_post_columns(engine):
 def test_c_structures_actually_used():
     """At least some query I/O must be attributed to C on this workload."""
     from repro.core.solution1 import TwoLevelBinaryIndex
+    from repro.core.solution1.index import X
     from repro.iosim import BlockDevice, Pager
 
     segments = fence_workload(columns=30, per_column=20)
@@ -77,13 +78,8 @@ def test_c_structures_actually_used():
     index = TwoLevelBinaryIndex.build(Pager(dev), segments)
     dev.reset_tags()
     # Probe the exact base lines the first level chose.
-    pids = [index.root_pid]
-    lines = []
-    while pids:
-        page = dev.read(pids.pop())
-        if page.get_header("kind") == "node":
-            lines.append(page.get_header("x"))
-            pids.extend([page.get_header("left"), page.get_header("right")])
+    lines = [record[X] for _depth, _page, slot, record in index.walk()
+             if slot is not None]
     dev.reset_tags()
     for c in lines[:8]:
         index.query(VerticalQuery.segment(c, 0, 200))

@@ -1,6 +1,6 @@
 """Unit tests for the binary snapshot container (save_device/load_device).
 
-The container (format version 3) carries a flat page arena; no other
+The container (format version 4) carries a flat page arena; no other
 version reads.  The arena-specific failure modes live in
 ``test_arena.py``.
 """
@@ -61,7 +61,7 @@ def test_default_format_is_arena(tmp_path):
     save_device(str(path), make_device(), {})
     _magic, version, _length, _crc = _HEADER.unpack(
         path.read_bytes()[:_HEADER.size])
-    assert version == SNAPSHOT_FORMAT_VERSION == 3
+    assert version == SNAPSHOT_FORMAT_VERSION == 4
 
 
 def test_v2_duplicates_cross_page_items_but_preserves_content(tmp_path):
@@ -100,12 +100,13 @@ def test_bad_magic(tmp_path):
 
 def test_future_version_rejected(tmp_path):
     """One container version reads: a file saved before the PST metadata
-    gained its tallest height (2) fails as loudly as a future one, by
+    gained its tallest height (2), or before Solution 1 packed its first
+    level into supernode pages (3), fails as loudly as a future one, by
     name."""
     path = tmp_path / "dev.snap"
     save_device(str(path), make_device(), {})
     saved = path.read_bytes()
-    for version in (2, SNAPSHOT_FORMAT_VERSION + 1):
+    for version in (2, 3, SNAPSHOT_FORMAT_VERSION + 1):
         blob = bytearray(saved)
         struct.pack_into(">I", blob, 8, version)
         path.write_bytes(bytes(blob))

@@ -11,6 +11,7 @@ faults; a frame that names an item the client does not hold is a typed
 answer; and the next call starts both tables afresh.
 """
 
+import logging
 import pickle
 import socket
 import struct
@@ -141,6 +142,59 @@ def test_warmed_connection_sends_no_item_again(snapshot, frames):
         == items
     assert after["serve.items_sent"]["value"] \
         == before["serve.items_sent"]["value"] == len(first["new"])
+
+
+class BulkyDB:
+    """Answers query ``q`` with the first ``q`` of a fixed list of
+    distinct 40-byte items, so one query can outgrow a small frame cap."""
+
+    def __init__(self):
+        self.items = [("item", f"{i:040d}") for i in range(200)]
+
+    def query_batch(self, queries):
+        return [self.items[:q] for q in queries]
+
+
+def test_an_oversized_answer_is_a_bad_request_and_the_next_call_is_exact(
+        monkeypatch, caplog):
+    """An answer over ``MAX_FRAME_BYTES`` comes back as a non-retryable
+    ``bad-request`` frame on a live connection, and the daemon forgets
+    the items that answer would have sent: had it kept them, the next
+    answer would name items the client never received."""
+    monkeypatch.setattr(daemon_module, "MAX_FRAME_BYTES", 2048)
+    items = BulkyDB().items
+    daemon, thread = _start(BulkyDB())
+    try:
+        with caplog.at_level(logging.WARNING), \
+                ServeClient(port=daemon.port, retries=0) as client:
+            assert client.query_batch([5]) == [items[:5]]
+            with pytest.raises(ServeRejected,
+                               match="response too large") as info:
+                client.query_batch([200])
+            assert info.value.error_type == "bad-request"
+            assert not info.value.retryable
+            assert client.query_batch([10, 3]) == [items[:10], items[:3]]
+            assert len(client._received) == 10
+    finally:
+        _stop(daemon, thread)
+    assert not caplog.records, [r.getMessage() for r in caplog.records]
+
+
+def test_rollback_forgets_new_items_and_undoes_a_reset(monkeypatch):
+    monkeypatch.setattr(daemon_module, "MAX_TABLE_ENTRIES", 3)
+    table = daemon_module._SentItems()
+    a, b, c, d = ("a",), ("b",), ("c",), ("d",)
+    table.encode([[a, b]])
+    mark = table.mark()
+    assert table.encode([[b, c]])["new"] == [c]
+    table.rollback(mark)
+    assert table.items == [a, b] and table.index == {id(a): 0, id(b): 1}
+    table.encode([[c]])
+    mark = table.mark()
+    assert table.encode([[d]]).get("reset")  # the table was full
+    table.rollback(mark)
+    assert table.items == [a, b, c]
+    assert table.index == {id(a): 0, id(b): 1, id(c): 2}
 
 
 def _unsent(frame):

@@ -4,7 +4,7 @@ from repro import Segment, VerticalQuery
 from repro.core.linebased import ExternalPST
 from repro.core.solution1 import TwoLevelBinaryIndex
 from repro.core.solution2 import TwoLevelIntervalIndex
-from repro.iosim import BlockDevice, Pager
+from repro.iosim import BlockDevice, Measurement, Pager
 from repro.viz import (
     Canvas,
     draw_linebased,
@@ -86,6 +86,16 @@ class TestStructureDumps:
         text = dump_two_level(index, pager)
         assert "line x=" in text
         assert "leaf[" in text
+
+    def test_dump_solution1_depth_limited(self):
+        dev = BlockDevice(block_capacity=8)
+        index = TwoLevelBinaryIndex.build(Pager(dev), grid_segments(200, seed=3))
+        pager = Pager(dev)
+        with Measurement(dev) as m:
+            shallow = dump_two_level(index, pager, max_depth=0)
+        assert len(shallow.splitlines()) == 1
+        assert m.stats.reads == 1  # the root page only
+        assert len(dump_two_level(index, pager).splitlines()) > 1
 
     def test_dump_solution2(self):
         dev = BlockDevice(block_capacity=16)
