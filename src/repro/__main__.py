@@ -473,6 +473,7 @@ def cmd_serve(args) -> int:
     import json
     import os
 
+    from repro.iosim import SnapshotFormatError
     from repro.serving import (PreforkServer, ServeDaemon,
                                ShardedSegmentDatabase)
 
@@ -514,7 +515,11 @@ def cmd_serve(args) -> int:
                 if not server.announced:
                     return 1
         else:
-            served = ShardedSegmentDatabase.open(directory, **open_kwargs)
+            try:
+                served = ShardedSegmentDatabase.open(directory, **open_kwargs)
+            except SnapshotFormatError as exc:
+                print(f"serve: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 1
             daemon = ServeDaemon(served, host=args.host,
                                  port=args.port, **daemon_kwargs)
             # Serves until SIGTERM/SIGINT, then drains.

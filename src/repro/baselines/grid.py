@@ -18,7 +18,7 @@ import math
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..geometry import Segment, VerticalQuery, vs_intersects
-from ..geometry.kernels import subset_query_hits
+from ..geometry.kernels import page_query_hits
 from ..iosim import Pager, StorageError
 from ..storage.chain import PageChain
 
@@ -103,26 +103,19 @@ class GridIndex:
                     if chain is None:
                         continue
                     for page in chain.iter_pages():
-                        items = page.items
                         # Rows already output are never compared (the
                         # label dedup short-circuits before the geometry
-                        # test); the kernel runs on the surviving subset.
-                        idx = [i for i, s in enumerate(items)
-                               if s.label not in out]
-                        hits = None
-                        if len({items[i].label for i in idx}) == len(idx):
-                            hits = subset_query_hits(page, q, idx, items)
-                        if hits is not None:
-                            for s in hits:
+                        # test); the kernel runs on the surviving rows.
+                        rows = [s for s in page.items if s.label not in out]
+                        if len({s.label for s in rows}) == len(rows):
+                            for s in page_query_hits(rows, q):
                                 out[s.label] = s
-                        else:
-                            # Scalar path (also taken when the subset has
-                            # duplicate labels, where a hit must shadow
-                            # later rows with the same label mid-page).
-                            for i in idx:
-                                s = items[i]
-                                if s.label not in out and vs_intersects(s, q):
-                                    out[s.label] = s
+                            continue
+                        # Duplicate labels: a hit must shadow later rows
+                        # with the same label mid-page.
+                        for s in rows:
+                            if s.label not in out and vs_intersects(s, q):
+                                out[s.label] = s
         return list(out.values())
 
     def query_batch(self, queries: Iterable[VerticalQuery]) -> List[List[Segment]]:

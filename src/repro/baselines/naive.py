@@ -36,7 +36,7 @@ class FullScanIndex:
             with self.pager.device.tagged("scan"):
                 out: List[Segment] = []
                 for page in self.chain.iter_pages():
-                    out.extend(page_query_hits(page, q))
+                    out.extend(page_query_hits(page.items, q))
                 return out
 
     def query_batch(self, queries: Iterable[VerticalQuery]) -> List[List[Segment]]:

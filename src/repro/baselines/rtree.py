@@ -21,8 +21,8 @@ from __future__ import annotations
 import math
 from typing import Iterable, List, Optional, Tuple
 
-from ..geometry import Segment, VerticalQuery, vs_intersects
-from ..geometry.kernels import rtree_subset_hits
+from ..geometry import Segment, VerticalQuery
+from ..geometry.kernels import page_query_hits
 from ..iosim import Pager
 from ..telemetry import trace
 
@@ -134,19 +134,11 @@ class RTreeIndex:
                     phase = "leaf" if page.get_header("leaf") else "descent"
                     span.move(phase, reads=span.reads - reads_before)
                 if page.get_header("leaf"):
-                    items = page.items
                     # The bbox prefilter is a plain float compare; only
                     # its survivors reach the (filtered) geometry test.
-                    idx = [i for i, (bbox, _s) in enumerate(items)
-                           if query_overlaps(bbox, q)]
-                    hits = rtree_subset_hits(page, q, idx, items)
-                    if hits is None:
-                        for i in idx:
-                            segment = items[i][1]
-                            if vs_intersects(segment, q):
-                                out.append(segment)
-                    else:
-                        out.extend(hits)
+                    out.extend(page_query_hits(
+                        [s for bbox, s in page.items
+                         if query_overlaps(bbox, q)], q))
                     continue
                 for bbox, child in page.items:
                     if query_overlaps(bbox, q):

@@ -15,8 +15,8 @@ from __future__ import annotations
 
 from typing import Iterable, List
 
-from ..geometry import Segment, VerticalQuery, vs_intersects
-from ..geometry.kernels import list_query_hits
+from ..geometry import Segment, VerticalQuery
+from ..geometry.kernels import page_query_hits
 from ..iosim import Pager, StorageError
 from ..storage.interval_tree import ExternalIntervalTree
 
@@ -39,11 +39,7 @@ class StabFilterIndex:
                 stabbed = self.tree.stab(q.x)
         # The y filter is free in I/Os (in-memory), exactly the point of
         # the baseline: it has already paid for every stabbed segment.
-        segs = [s for _l, _r, s in stabbed]
-        hits = list_query_hits(segs, q)
-        if hits is None:
-            return [s for s in segs if vs_intersects(s, q)]
-        return hits
+        return page_query_hits([s for _l, _r, s in stabbed], q)
 
     def query_batch(self, queries: Iterable[VerticalQuery]) -> List[List[Segment]]:
         """Sequential loop fallback (uniform batch API, no shared descent)."""

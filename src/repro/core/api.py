@@ -215,30 +215,11 @@ class SegmentDatabase:
         same accounting state ``bulk_load`` leaves behind.
         """
         device, meta = load_device(path)
-        return cls.attach_device(device, meta, buffer_pages=buffer_pages,
-                                 validate=validate, source=path)
-
-    @classmethod
-    def attach_device(
-        cls,
-        device: BlockDevice,
-        meta: dict,
-        buffer_pages: Optional[int] = None,
-        validate: bool = False,
-        source: str = "<device>",
-    ) -> "SegmentDatabase":
-        """A queryable database over an already-restored page store.
-
-        ``device`` is a :class:`~repro.iosim.BlockDevice`, such as the
-        store :func:`~repro.iosim.load_device` returns.  ``meta`` is the
-        snapshot metadata dict (``engine`` + ``engine_meta``); the engine
-        is re-attached over the pages without running the bulk load.
-        """
         try:
             engine = meta["engine"]
             engine_meta = meta["engine_meta"]
-        except (TypeError, KeyError) as exc:
-            raise SnapshotFormatError(source, f"missing field: {exc}") from exc
+        except KeyError as exc:
+            raise SnapshotFormatError(path, f"missing field: {exc}") from exc
         db = cls(
             engine=engine,
             block_capacity=device.block_capacity,

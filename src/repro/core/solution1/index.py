@@ -331,7 +331,7 @@ class TwoLevelBinaryIndex:
                         page = self.pager.fetch(ref)
                     if page.get_header("kind") == "leaf":
                         with tagged("leaf"):
-                            out.extend(page_query_hits(page, q))
+                            out.extend(page_query_hits(page.items, q))
                         return out
                     slot = 0
                 record = page.items[slot]
@@ -396,7 +396,7 @@ class TwoLevelBinaryIndex:
                 items = page.items
                 with tagged("leaf"):
                     for i in group:
-                        out[i].extend(page_query_hits(page, queries[i], items))
+                        out[i].extend(page_query_hits(items, queries[i]))
                 return
             self._route_group(page, 0, group, queries, out)
 

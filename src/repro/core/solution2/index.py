@@ -352,7 +352,7 @@ class TwoLevelIntervalIndex:
                 if kind == "leaf":
                     with tagged("leaf"):
                         for page in PageChain(self.pager, pid).iter_pages():
-                            for s in page_query_hits(page, q):
+                            for s in page_query_hits(page.items, q):
                                 out[s.label] = s
                     break
                 with tagged("first-level"):
@@ -431,7 +431,7 @@ class TwoLevelIntervalIndex:
                     q = queries[i]
                     out = outs[i]
                     for page in leaf_pages:
-                        for s in page_query_hits(page, q):
+                        for s in page_query_hits(page.items, q):
                             out[s.label] = s
                 return
             boundaries = view.boundaries

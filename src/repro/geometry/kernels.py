@@ -6,7 +6,8 @@ one predicate call per stored segment per page.  This module removes
 that loop for the page scans: ``vs_intersects`` over a leaf page runs
 as one fused pass per (page, query) pair.
 
-Two kernel tiers share each scan dispatch point, selected by row count:
+Two kernel tiers share the one scan dispatcher, :func:`page_query_hits`,
+selected by row count:
 
 * **scalar tier** (``n < MIN_ROWS``): the original per-row predicate
   calls — on a handful of rows the fused loop's setup costs more than
@@ -51,6 +52,7 @@ from typing import Optional, Sequence, Tuple
 
 from . import filtered
 from .filtered import _EPS, _SLOP, _TINY, STATS, compare_interp, compare_u_at
+from .query import vs_intersects
 
 #: Below this many rows even the fused loop's per-page setup exceeds the
 #: scalar per-row calls it replaces; such pages stay scalar.
@@ -175,57 +177,21 @@ def intersect_hits_py(items: Sequence, query) -> Optional[list]:
     return hits
 
 
-def page_query_hits(page, query, items: Optional[Sequence] = None) -> list:
-    """``[s for s in items if vs_intersects(s, query)]``, kernelized.
+def page_query_hits(rows: Sequence, query) -> list:
+    """``[s for s in rows if vs_intersects(s, query)]``, kernelized.
 
-    The drop-in form of every engine's leaf scan: the fused loop from
+    The one dispatcher of every scan: the fused loop from
     :data:`MIN_ROWS` rows up, the original scalar comprehension
-    otherwise.
+    otherwise.  ``rows`` is a page's items, or the rows a caller kept
+    after its own prefilter (the grid's label dedup, the R-tree's bbox
+    check, the stab-filter's stabbed candidates), so the geometry test
+    runs on exactly the rows the scalar loop would have compared.
     """
-    if items is None:
-        items = page.items
-    if vectorized_enabled() and len(items) >= MIN_ROWS:
-        hits = intersect_hits_py(items, query)
+    if vectorized_enabled() and len(rows) >= MIN_ROWS:
+        hits = intersect_hits_py(rows, query)
         if hits is not None:
             return hits
-    from .query import vs_intersects
-
-    return [s for s in items if vs_intersects(s, query)]
-
-
-def subset_query_hits(page, query, idx: Sequence[int],
-                      items: Optional[Sequence] = None) -> Optional[list]:
-    """Hits among ``items[i] for i in idx`` (row order), or ``None``.
-
-    Serves the scans that prefilter rows before the geometric test (the
-    grid's label dedup, the R-tree's bbox check): the kernel runs on the
-    gathered subset only — exactly the rows the scalar loop would have
-    compared.
-    """
-    if not vectorized_enabled() or len(idx) < MIN_ROWS:
-        return None
-    if items is None:
-        items = page.items
-    return intersect_hits_py([items[i] for i in idx], query)
-
-
-def list_query_hits(items: Sequence, query) -> Optional[list]:
-    """Hits among an in-memory segment list (no page behind it — the
-    stab-filter's already-fetched candidates), or ``None``."""
-    if not vectorized_enabled() or len(items) < MIN_ROWS:
-        return None
-    return intersect_hits_py(items, query)
-
-
-def rtree_subset_hits(page, query, idx: Sequence[int],
-                      items: Optional[Sequence] = None) -> Optional[list]:
-    """:func:`subset_query_hits` for R-tree leaves, whose rows are
-    ``(bbox, segment)`` tuples (``idx`` holds the bbox-overlap survivors)."""
-    if not vectorized_enabled() or len(idx) < MIN_ROWS:
-        return None
-    if items is None:
-        items = page.items
-    return intersect_hits_py([items[i][1] for i in idx], query)
+    return [s for s in rows if vs_intersects(s, query)]
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,6 @@ written.  See DESIGN.md §5 for the accounting conventions and §10 for
 the fault model and crash-consistency protocol.
 """
 
-from .arena import (
-    ARENA_VERSION,
-    ArenaView,
-    build_arena,
-    restricted_loads,
-)
 from .buffer import LRUBufferPool
 from .disk import BlockDevice
 from .errors import (
@@ -30,14 +24,11 @@ from .faults import FaultSchedule, FaultyBlockDevice, RetryPolicy, page_fingerpr
 from .page import HEADER_SLOTS, Page
 from .pager import Pager
 from .snapshot import FORMAT_VERSION as SNAPSHOT_FORMAT_VERSION
-from .snapshot import load_device, save_device
+from .snapshot import load_device, restricted_loads, save_device
 from .stats import IOStats, Measurement
 
 __all__ = [
-    "ARENA_VERSION",
-    "ArenaView",
     "BlockDevice",
-    "build_arena",
     "ChecksumError",
     "DanglingPageError",
     "DoubleFreeError",

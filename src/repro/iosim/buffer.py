@@ -18,7 +18,7 @@ pinned page, mirroring how a real buffer manager treats fixed buffers).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable
+from typing import Dict
 
 from ..telemetry import trace as _trace
 from .disk import BlockDevice
@@ -166,30 +166,6 @@ class LRUBufferPool:
 
     def is_pinned(self, page_id: int) -> bool:
         return page_id in self._pins
-
-    # ------------------------------------------------------------------
-    # prefetch
-    # ------------------------------------------------------------------
-    def prefetch(self, page_ids: Iterable[int]) -> int:
-        """Warm the cache with the given pages; returns how many were
-        actually fetched from the device.
-
-        Already-cached pages are only freshened in LRU order (no hit is
-        recorded — prefetching its own cache would inflate the hit rate).
-        """
-        fetched = 0
-        for page_id in page_ids:
-            if page_id in self._lru:
-                self._lru.move_to_end(page_id)
-                continue
-            page = self.device.read(page_id)
-            self.misses += 1
-            ctx = _trace._ACTIVE
-            if ctx is not None:
-                ctx.record_miss()
-            self._cache(page)
-            fetched += 1
-        return fetched
 
     # ------------------------------------------------------------------
     # internals

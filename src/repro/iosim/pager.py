@@ -172,13 +172,6 @@ class Pager:
         """Hold a buffer-pool pin on ``page_id`` for the scope."""
         return _PinScope(self, page_id)
 
-    def prefetch(self, page_ids) -> int:
-        """Warm the buffer pool with ``page_ids``; 0 on a bare device."""
-        prefetch = getattr(self.device, "prefetch", None)
-        if prefetch is None:
-            return 0
-        return prefetch(page_ids)
-
     # ------------------------------------------------------------------
     # crash points (no-ops on a plain device)
     # ------------------------------------------------------------------

@@ -30,6 +30,7 @@ from ..core.api import ENGINES, SegmentDatabase
 from ..core.recovery import DegradedResult
 from ..geometry import Segment, VerticalQuery
 from ..iosim import SnapshotFormatError
+from ..iosim.snapshot import write_atomically
 from ..telemetry import (
     ExplainReport,
     LatencyHistogram,
@@ -359,9 +360,9 @@ class ShardedSegmentDatabase:
             "replicated": self.replicated,
             "shard_files": shard_files,
         }
-        with open(os.path.join(directory, MANIFEST_NAME), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        write_atomically(os.path.join(directory, MANIFEST_NAME),
+                         text.encode("utf-8"))
         return manifest
 
     @classmethod
@@ -392,9 +393,15 @@ class ShardedSegmentDatabase:
                 manifest = json.load(fh)
         except FileNotFoundError:
             raise SnapshotFormatError(manifest_path, "manifest not found")
-        except json.JSONDecodeError as exc:
+        except OSError as exc:
+            raise SnapshotFormatError(manifest_path,
+                                      f"unreadable: {exc}") from exc
+        except ValueError as exc:  # a JSON or UTF-8 decoding error
             raise SnapshotFormatError(manifest_path,
                                       f"manifest is not JSON: {exc}") from exc
+        if not isinstance(manifest, dict):
+            raise SnapshotFormatError(manifest_path,
+                                      "manifest is not a JSON object")
         version = manifest.get("format_version")
         if version != MANIFEST_VERSION:
             raise SnapshotFormatError(
@@ -402,13 +409,34 @@ class ShardedSegmentDatabase:
                 f"unsupported manifest version {version!r} "
                 f"(expected {MANIFEST_VERSION})",
             )
-        boundaries = [_boundary_from_str(b) for b in manifest["boundaries"]]
+        try:
+            boundaries = [_boundary_from_str(b)
+                          for b in manifest["boundaries"]]
+            names = manifest["shard_files"]
+            engine = manifest["engine"]
+            segment_count = manifest["segment_count"]
+            replicated = manifest["replicated"]
+        except KeyError as exc:
+            raise SnapshotFormatError(
+                manifest_path, f"manifest has no {exc} field") from exc
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise SnapshotFormatError(
+                manifest_path, f"boundaries are not rationals: {exc}") from exc
+        if type(names) is not list or len(names) != len(boundaries) + 1:
+            raise SnapshotFormatError(
+                manifest_path, f"{len(boundaries)} boundaries need "
+                               f"{len(boundaries) + 1} shard files, got "
+                               f"{names!r}")
+        for name in names:
+            if not isinstance(name, str) or os.path.basename(name) != name:
+                raise SnapshotFormatError(
+                    manifest_path,
+                    f"shard file {name!r} is not a plain file name")
         shards = [SegmentDatabase.open(os.path.join(directory, name),
                                        buffer_pages=buffer_pages)
-                  for name in manifest["shard_files"]]
-        db = cls(manifest["engine"], boundaries, shards,
-                 segment_count=manifest["segment_count"],
-                 replicated=manifest["replicated"])
+                  for name in names]
+        db = cls(engine, boundaries, shards, segment_count=segment_count,
+                 replicated=replicated)
         if slow_query_s is not None:
             db.enable_slow_query_log(slow_query_s)
         return db

@@ -205,7 +205,7 @@ def test_an_update_hands_each_page_on_its_path_to_the_pager_once(monkeypatch):
 
 def test_a_version_3_snapshot_is_refused(tmp_path):
     """Version 3 stored one first-level node per page header; the records
-    of version 4 would be misread from it, so it does not open."""
+    read since version 4 would be misread from it, so it does not open."""
     path = tmp_path / "sol1.snap"
     db = SegmentDatabase.bulk_load(grid_segments(300, seed=5),
                                    engine="solution1", block_capacity=32)

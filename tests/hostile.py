@@ -1,7 +1,7 @@
 """Pickles that run code when an unrestricted unpickler loads them.
 
 Shared by the allowlist tests of every decoder that reads untrusted
-bytes: snapshot files, arena page blobs and daemon frames.  Each payload
+bytes: a snapshot's payload, its page blobs and daemon frames.  Each payload
 names the global it resolves first, so a test can assert the typed
 rejection names it; the ``builtins`` and ``repro`` ones have a visible
 side effect where they can (they create ``marker``), so a test can also

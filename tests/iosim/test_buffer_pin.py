@@ -1,4 +1,4 @@
-"""Unit tests for buffer-pool page pinning and prefetch."""
+"""Unit tests for buffer-pool page pinning."""
 
 import pytest
 
@@ -102,25 +102,6 @@ def test_free_of_pinned_page_raises():
     assert pool.pinned_count == 0
 
 
-def test_prefetch_warms_uncached_pages_only():
-    dev, pool = make_pool(pool_pages=8)
-    pages = alloc_pages(pool, 4)
-    pool.read(pages[0].page_id)
-    hits_before = pool.hits
-    dev.reset_counters()
-    fetched = pool.prefetch(p.page_id for p in pages)
-    assert fetched == 0  # writes cached everything already
-    assert dev.reads == 0
-    assert pool.hits == hits_before  # prefetch never counts hits
-
-    # Evict everything with a scan, then prefetch really reads.
-    alloc_pages(pool, 16)
-    dev.reset_counters()
-    fetched = pool.prefetch(p.page_id for p in pages)
-    assert fetched == 4
-    assert dev.reads == 4
-
-
 def test_pager_pin_passthrough_and_noop_on_bare_device():
     dev, pool = make_pool(pool_pages=2)
     pager = Pager(pool)
@@ -132,7 +113,6 @@ def test_pager_pin_passthrough_and_noop_on_bare_device():
     with pager.pinning(a.page_id):
         assert pool.is_pinned(a.page_id)
     assert not pool.is_pinned(a.page_id)
-    assert pager.prefetch([a.page_id]) >= 0
 
     bare = Pager(BlockDevice(block_capacity=8))
     page = bare.alloc()
@@ -142,7 +122,6 @@ def test_pager_pin_passthrough_and_noop_on_bare_device():
     bare.unpin(page.page_id)
     with bare.pinning(page.page_id):
         pass
-    assert bare.prefetch([page.page_id]) == 0
     assert bare.device.reads == reads_before
 
 
@@ -160,37 +139,6 @@ def test_io_report_counts_pinned_pages():
     assert db.io_report()["buffer"]["pinned"] == 1
     db.buffer_pool.unpin(db._index.root_pid)
     assert db.io_report()["buffer"]["pinned"] == 0
-
-
-def test_prefetch_of_already_pinned_page_is_free():
-    dev, pool = make_pool(pool_pages=4)
-    a = alloc_pages(pool, 1)[0]
-    pool.pin(a.page_id)
-    alloc_pages(pool, 16)  # thrash; the pinned page must stay resident
-    dev.reset_counters()
-    misses_before = pool.misses
-    assert pool.prefetch([a.page_id]) == 0
-    assert dev.reads == 0, "prefetch re-read a resident pinned page"
-    assert pool.misses == misses_before
-    assert pool.is_pinned(a.page_id)  # prefetch never touches pins
-
-
-def test_prefetch_into_fully_pinned_pool_overflows_not_evicts():
-    dev, pool = make_pool(pool_pages=2)
-    pinned = alloc_pages(pool, 2)
-    for p in pinned:
-        pool.pin(p.page_id)
-    extra = alloc_pages(pool, 3)
-    # The writes above cached the extras; scan them out via a fresh set
-    # so prefetch has something real to fetch.
-    assert pool.prefetch(p.page_id for p in extra) >= 0
-    dev.reset_counters()
-    for p in pinned:  # every pinned page still answered from cache
-        pool.read(p.page_id)
-    assert dev.reads == 0, "a pinned page was evicted by prefetch overflow"
-    for p in pinned:
-        pool.unpin(p.page_id)
-    assert len(pool._lru) <= pool.capacity  # overflow drained on unpin
 
 
 def test_unpin_of_never_pinned_cached_page_raises_and_keeps_cache():

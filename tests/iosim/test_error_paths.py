@@ -89,30 +89,6 @@ class TestPinBookkeeping:
         assert not pool.is_pinned(999)
 
 
-class TestPrefetch:
-    def test_prefetch_over_live_and_freed_mix_raises(self):
-        dev = BlockDevice(block_capacity=8)
-        pool = LRUBufferPool(dev, 8)
-        live = [_written(pool, [i]) for i in range(3)]
-        doomed = _written(pool, [99])
-        pool.free(doomed.page_id)
-        with pytest.raises(DanglingPageError):
-            pool.prefetch([live[0].page_id, doomed.page_id, live[1].page_id])
-        # Pages fetched before the failure are legitimately cached...
-        assert live[0].page_id in pool._lru
-        # ...and the live pages remain readable afterwards.
-        for page in live:
-            assert pool.read(page.page_id) is page
-
-    def test_prefetch_counts_only_device_fetches(self):
-        dev = BlockDevice(block_capacity=8)
-        pool = LRUBufferPool(dev, 8)
-        pages = [_written(dev, [i]) for i in range(3)]  # not yet cached
-        pool.read(pages[0].page_id)  # cache exactly one
-        fetched = pool.prefetch([p.page_id for p in pages])
-        assert fetched == 2
-
-
 class TestOverflowUnderPool:
     def test_overflow_caught_on_pooled_write(self):
         dev = BlockDevice(block_capacity=4)

@@ -8,6 +8,8 @@ duplicate labels even for queries exactly on a slab boundary.
 """
 
 import json
+import os
+import re
 
 import pytest
 
@@ -173,14 +175,63 @@ def test_open_rejects_damaged_manifest(tmp_path):
 
     manifest_path = directory / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 99
-    manifest_path.write_text(json.dumps(manifest))
+    manifest_path.write_text(json.dumps({**manifest, "format_version": 99}))
     with pytest.raises(SnapshotFormatError, match="unsupported manifest"):
         ShardedSegmentDatabase.open(str(directory))
 
-    manifest_path.write_text("{not json")
-    with pytest.raises(SnapshotFormatError, match="not JSON"):
+    for raw in (b"{not json", b"\xff\xfe{"):
+        manifest_path.write_bytes(raw)
+        with pytest.raises(SnapshotFormatError, match="not JSON"):
+            ShardedSegmentDatabase.open(str(directory))
+
+    # JSON, but not the shape save writes: each raises a typed error
+    # naming manifest.json (never a KeyError, ValueError or
+    # AttributeError) before any shard file is opened.
+    def without(key):
+        return json.dumps({k: v for k, v in manifest.items() if k != key})
+
+    def replacing(**fields):
+        return json.dumps({**manifest, **fields})
+
+    first, second = manifest["shard_files"]
+    for text, reason in [
+        ("[1, 2]", "manifest is not a JSON object"),
+        ("null", "manifest is not a JSON object"),
+        (without("boundaries"), "manifest has no 'boundaries' field"),
+        (without("shard_files"), "manifest has no 'shard_files' field"),
+        (replacing(boundaries=["1/0"]), "boundaries are not rationals"),
+        (replacing(boundaries=["abc"]), "boundaries are not rationals"),
+        (replacing(boundaries=7), "boundaries are not rationals"),
+        (replacing(boundaries=[]), "0 boundaries need 1 shard files"),
+        (replacing(shard_files=first), "1 boundaries need 2 shard files"),
+        (replacing(shard_files=[first, "../" + second]),
+         f"shard file '../{second}' is not a plain file name"),
+        (replacing(shard_files=["/etc/passwd", second]),
+         "shard file '/etc/passwd' is not a plain file name"),
+        (replacing(shard_files=[3, second]),
+         "shard file 3 is not a plain file name"),
+    ]:
+        manifest_path.write_text(text)
+        with pytest.raises(SnapshotFormatError,
+                           match=rf"manifest\.json': {re.escape(reason)}"):
+            ShardedSegmentDatabase.open(str(directory))
+
+    manifest_path.unlink()
+    manifest_path.mkdir()
+    with pytest.raises(SnapshotFormatError,
+                       match=r"manifest\.json': unreadable"):
         ShardedSegmentDatabase.open(str(directory))
+
+
+def test_save_leaves_only_the_manifest_and_shard_files(tmp_path):
+    segments, _ = workload(n=60, queries=4)
+    directory = tmp_path / "sharded"
+    sharded = ShardedSegmentDatabase.bulk_load(segments, shards=2,
+                                               block_capacity=16)
+    for _ in range(2):  # a re-save replaces every file in place
+        sharded.save(str(directory))
+    assert sorted(os.listdir(directory)) == [
+        "manifest.json", "shard-000.snap", "shard-001.snap"]
 
 
 def test_open_with_workers_points_at_serve(tmp_path):

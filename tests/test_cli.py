@@ -420,6 +420,29 @@ def test_serve_bench_cache_pages(capsys):
     assert "unrecognized arguments: --cache-pages" in captured.err
 
 
+def test_serve_reports_a_damaged_manifest_in_one_line(tmp_path, capsys):
+    """``--workers 0`` reports a snapshot that cannot be opened the way
+    ``--workers N`` does: one ``serve:`` line, exit 1, no traceback."""
+    import json
+
+    from repro import ShardedSegmentDatabase
+
+    directory = tmp_path / "sharded"
+    ShardedSegmentDatabase.bulk_load(grid_segments(60, seed=3), shards=2,
+                                     block_capacity=16).save(str(directory))
+    manifest = json.loads((directory / "manifest.json").read_text())
+    del manifest["boundaries"]
+    (directory / "manifest.json").write_text(json.dumps(manifest))
+    assert main(["serve", str(directory), "--workers", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    assert lines[0].startswith("serve: SnapshotFormatError: ")
+    assert "manifest.json" in lines[0]
+    assert "'boundaries'" in lines[0]
+
+
 def test_serve_client_requires_port(capsys):
     assert main(["serve-client"]) == 2
     assert "--port" in capsys.readouterr().err
